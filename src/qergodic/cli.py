@@ -28,7 +28,7 @@ from .asymptotics import (
     q_block_power,
     q_theta_n,
 )
-from .errors import AssumptionViolation, ParseError, QergodicError, ValidationError
+from .errors import AssumptionViolation, NumericalError, ParseError, QergodicError, ValidationError
 from .paths import classify_path, enumerate_paths, maximal_paths
 from .spectral import spectrum_set
 from .structure import condense
@@ -238,8 +238,12 @@ def _analysis_payload(doc: ChainDocument, model: core.SubstochasticModel) -> Dic
             "pi_restriction": report.used_pi_restriction,
             "certified": report.certified,
         },
-        "quasi_stationary": limits.quasi_stationary_distribution(model.Q),
     }
+    try:
+        payload["quasi_stationary"] = limits.quasi_stationary_distribution(model.Q)
+    except NumericalError as exc:
+        # the QSD is a side result: its failure must not hide the closed form
+        payload["quasi_stationary"] = {"error": str(exc)}
     return payload
 
 

@@ -51,10 +51,6 @@ class NoConvergence(NumericalError):
     pass
 
 
-class ToleranceTooLoose(NumericalError):
-    pass
-
-
 class NoSurvivors(NumericalError):
     """No Monte Carlo trajectory survived past the requested horizon."""
 

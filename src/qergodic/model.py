@@ -13,6 +13,7 @@ State indices in the public API are 1-based, matching the usual notation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -123,28 +124,44 @@ def _forward_backward(model: SubstochasticModel, n: int):
     conditioned quantity is a ratio in which they cancel exactly.
     """
     Q = model.Q
-    d = model.d
-    A = np.empty((n + 1, d))
-    B = np.empty((n + 1, d))
-    a = model.pi.copy()
-    A[0] = a
-    for r in range(1, n + 1):
-        a = a @ Q
-        s = a.sum()
-        if s == 0.0:
-            raise SurvivalUnderflow(f"pi Q^{r} is exactly zero")
-        a = a / s
-        A[r] = a
-    b = np.ones(d)
-    B[0] = b
-    for r in range(1, n + 1):
-        b = Q @ b
-        m = b.max()
-        if m == 0.0:
-            raise SurvivalUnderflow(f"Q^{r} 1 is exactly zero")
-        b = b / m
-        B[r] = b
+    A = np.empty((n + 1, model.d))
+    B = np.empty((n + 1, model.d))
+    A[0] = model.pi
+    B[0] = 1.0
+    _sweep(A, lambda x, out: np.matmul(x, Q, out=out), np.add.reduce, "pi Q^{} is exactly zero")
+    _sweep(B, lambda x, out: np.matmul(Q, x, out=out), np.maximum.reduce, "Q^{} 1 is exactly zero")
     return A, B
+
+
+# A sweep rescales once per block of this many steps, unless some step of
+# the block fell below _SWEEP_FLOOR, far above the subnormal range.
+_SWEEP_BLOCK = 32
+_SWEEP_FLOOR = 2.0**-600
+
+
+def _sweep(X: np.ndarray, step, scale, underflow: str) -> None:
+    """Fill X[1:] with X[r] = step(X[r-1]) / scale(step(X[r-1])) from X[0].
+
+    Each block of steps runs unscaled and is then rescaled at once.  A block
+    in which some scale fell below _SWEEP_FLOOR is redone one rescaled step
+    at a time, which keeps full precision and raises SurvivalUnderflow at the
+    first step whose iterate is exactly zero.
+    """
+    n = X.shape[0] - 1
+    for r0 in range(1, n + 1, _SWEEP_BLOCK):
+        r1 = min(r0 + _SWEEP_BLOCK, n + 1)
+        for r in range(r0, r1):
+            step(X[r - 1], X[r])
+        s = scale(X[r0:r1], axis=1)
+        if s.min() >= _SWEEP_FLOOR:
+            X[r0:r1] /= s[:, None]
+            continue
+        for r in range(r0, r1):
+            step(X[r - 1], X[r])
+            s = scale(X[r])
+            if s == 0.0:
+                raise SurvivalUnderflow(underflow.format(r))
+            X[r] /= s
 
 
 def occupation_profile(model: SubstochasticModel, n: int) -> np.ndarray:
@@ -158,13 +175,14 @@ def occupation_profile(model: SubstochasticModel, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("horizon n must be >= 0")
     A, B = _forward_backward(model, n)
-    out = np.zeros(model.d)
-    for r in range(n + 1):
-        denom = float(A[r] @ B[n - r])
-        if denom == 0.0:
-            raise SurvivalUnderflow(f"survival probability vanished at horizon {n}")
-        out += A[r] * B[n - r] / denom
-    return out / (n + 1)
+    # row r becomes the conditional law of X_r; in place, so the only
+    # (n+1) x d arrays are A and B
+    A *= B[::-1]
+    denom = A.sum(axis=1)
+    if not denom.all():
+        raise SurvivalUnderflow(f"survival probability vanished at horizon {n}")
+    A /= denom[:, None]
+    return A.sum(axis=0) / (n + 1)
 
 
 def survival_probability(model: SubstochasticModel, n: int) -> float:
@@ -227,37 +245,51 @@ def finite_horizon_observable(model: SubstochasticModel, f: Sequence[float], n: 
 
 # --- simulation ---------------------------------------------------------
 
+# Monte Carlo trajectories are stepped together in batches of at most this
+# many, holding at most _MC_BATCH_UNIFORMS uniforms (8 bytes each) at once.
+_MC_BATCH = 512
+_MC_BATCH_UNIFORMS = 1 << 21
+
 
 def _trajectory_rng(seed: int, index: int = 0) -> np.random.Generator:
     # per-trajectory stream keyed on (seed, index): identical results
-    # regardless of how trajectories are distributed over workers
+    # regardless of how trajectories are batched
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=(int(seed), int(index)))))
 
 
-def _uniform_stream(rng: np.random.Generator, chunk: int = 256):
-    """Yield uniforms one by one, drawn in chunks for speed.
-
-    Chunked draws consume the PCG64 stream in the same order as repeated
-    scalar draws, so the trajectory is a function of (seed, index) alone.
-    """
-    while True:
-        for u in rng.random(chunk).tolist():
-            yield u
-
-
 def _transition_tables(model: SubstochasticModel):
-    # cumulative rows of (R | Q): index 0 absorbs, 1..d are transient targets
-    cum = np.cumsum(np.hstack([model.R[:, None], model.Q]), axis=1)
-    return [row.tolist() for row in cum], np.cumsum(model.pi).tolist()
+    """Cumulative rows of (R | Q) and cumulative pi.
+
+    Column 0 of a row absorbs, columns 1..d lead to the transient states.  A
+    uniform u picks the count of cumulative entries <= u (bisect_right), and
+    both samplers clamp that count to the last state, so rounding in the
+    cumulative sums never sends u past the end of a row.
+    """
+    return np.cumsum(np.hstack([model.R[:, None], model.Q]), axis=1), np.cumsum(model.pi)
 
 
 def simulate_trajectory(model: SubstochasticModel, seed: int, _index: int = 0):
     """Sample one trajectory; returns (path, T) with 1-based states.
 
     path holds the visited transient states X_0, ..., X_{T-1}; T is the
-    absorption step.  Deterministic given (seed, _index).
+    absorption step.  Deterministic given (seed, _index): the uniforms are
+    drawn in order from PCG64(SeedSequence((seed, _index))), one for X_0 and
+    one per step, the stream monte_carlo_occupation uses for trajectory
+    _index.
     """
-    return _simulate_capped(model, seed, _index, None)
+    cum, pi_cum = _transition_tables(model)
+    cum, pi_cum = cum.tolist(), pi_cum.tolist()
+    rng = _trajectory_rng(seed, _index)
+    state = min(bisect_right(pi_cum, rng.random()), model.d - 1)
+    path = [state + 1]
+    while True:
+        # chunked draws consume the stream exactly as scalar draws would
+        for u in rng.random(256).tolist():
+            nxt = bisect_right(cum[state], u)
+            if nxt == 0:
+                return path, len(path)
+            state = min(nxt - 1, model.d - 1)
+            path.append(state + 1)
 
 
 def monte_carlo_occupation(model: SubstochasticModel, n: int, trials: int, seed: int):
@@ -266,22 +298,44 @@ def monte_carlo_occupation(model: SubstochasticModel, n: int, trials: int, seed:
     Only trajectories with T > n contribute.  Returns a list of d
     OccupationEstimate values with standard errors and the surviving count.
     Raises NoSurvivors when no trajectory survives.
+
+    Trajectory i is the first n + 1 states of simulate_trajectory(model,
+    seed, i), so the result depends only on (Q, pi, n, trials, seed).
+    Trajectories are stepped together in batches, and survivors are added
+    up in trajectory order, so the batch size does not change a bit.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     d = model.d
+    cum, pi_cum = _transition_tables(model)
+    batch = max(1, min(_MC_BATCH, _MC_BATCH_UNIFORMS // (n + 1)))
     sums = np.zeros(d)
     sq_sums = np.zeros(d)
     surviving = 0
-    tables = _transition_tables(model)
-    for i in range(trials):
-        path, T = _simulate_capped(model, seed, i, n + 1, tables)
-        if T <= n:
-            continue
-        surviving += 1
-        counts = np.bincount(np.asarray(path[: n + 1]) - 1, minlength=d) / (n + 1)
-        sums += counts
-        sq_sums += counts * counts
+    for first in range(0, trials, batch):
+        size = min(batch, trials - first)
+        U = np.empty((size, n + 1))
+        for k in range(size):
+            _trajectory_rng(seed, first + k).random(out=U[k])
+        visits = np.zeros((size, d), dtype=np.int64)
+        live = np.arange(size)  # batch rows not yet absorbed
+        state = np.minimum(np.searchsorted(pi_cum, U[:, 0], side="right"), d - 1)
+        visits[live, state] = 1
+        for t in range(1, n + 1):
+            # bisect_right of each live trajectory's uniform in its row
+            nxt = (cum.take(state, axis=0) <= U[live, t][:, None]).sum(axis=1)
+            if not nxt.all():
+                alive = nxt > 0
+                live, nxt = live[alive], nxt[alive]
+                if live.size == 0:
+                    break
+            state = np.minimum(nxt - 1, d - 1)
+            visits[live, state] += 1
+        counts = visits[live] / (n + 1)
+        surviving += live.size
+        # sequential accumulation: the same sums as adding survivors one by one
+        sums = np.add.accumulate(np.vstack([sums, counts]))[-1]
+        sq_sums = np.add.accumulate(np.vstack([sq_sums, counts * counts]))[-1]
     if surviving == 0:
         raise NoSurvivors(f"none of {trials} trajectories survived past n={n}")
     means = sums / surviving
@@ -294,29 +348,3 @@ def monte_carlo_occupation(model: SubstochasticModel, n: int, trials: int, seed:
         OccupationEstimate(value=float(means[j]), n=n, stderr=float(stderr[j]), trials_surviving=surviving)
         for j in range(d)
     ]
-
-
-def _simulate_capped(model: SubstochasticModel, seed: int, index: int, cap, tables=None):
-    """Sample one trajectory, optionally stopping once cap states are seen.
-
-    Returns (path, T); with a cap, T = cap means "still alive after cap
-    states".  With cap None, runs until absorption (almost surely finite by
-    transience).
-    """
-    from bisect import bisect_right
-
-    if tables is None:
-        tables = _transition_tables(model)
-    cum, pi_cum = tables
-    uniforms = _uniform_stream(_trajectory_rng(seed, index))
-    state = bisect_right(pi_cum, next(uniforms))
-    if state >= model.d:
-        state = model.d - 1
-    path = [state + 1]
-    while cap is None or len(path) < cap:
-        nxt = bisect_right(cum[state], next(uniforms))
-        if nxt == 0:
-            return path, len(path)
-        state = min(nxt - 1, model.d - 1)
-        path.append(state + 1)
-    return path, cap

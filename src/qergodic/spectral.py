@@ -55,11 +55,9 @@ class SpectrumSet:
         m = max(a.rho, b.rho)
         return abs(a.rho - b.rho) <= self.rho_eq_tol * m
 
-    def attains(self, i: int, value: float, scalar_exact: bool = False) -> bool:
+    def attains(self, i: int, value: float) -> bool:
         """Whether block i's root equals `value` under the equality policy."""
         s = self.blocks[i - 1]
-        if s.scalar and scalar_exact:
-            return s.rho == value
         return abs(s.rho - value) <= self.rho_eq_tol * max(s.rho, value)
 
 

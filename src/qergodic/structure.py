@@ -38,13 +38,6 @@ class FrobeniusForm:
     sub_blocks: Dict[Tuple[int, int], np.ndarray]
     permuted_Q: np.ndarray
 
-    def block_of_state(self, p: int) -> int:
-        """1-based block index of normal-form position p (0-based)."""
-        for b, r in enumerate(self.index_sets):
-            if p in r:
-                return b + 1
-        raise IndexError(p)
-
 
 @dataclass(frozen=True)
 class PeriodicLift:

@@ -5,12 +5,16 @@ import json
 import numpy as np
 import pytest
 
+from qergodic import limits
 from qergodic.cli import ChainDocument, emit_json, main, parse_document
-from qergodic.errors import ParseError
+from qergodic.errors import NoConvergence, ParseError
 
 
 TWO_STATE = {"Q": [[0.3, 0.0], [0.5, 0.5]], "pi": [0.5, 0.5]}
 UNCERTIFIED = {"Q": [[0.7, 0, 0], [0.2, 0.4, 0.1], [0.05, 0.1, 0.4]], "pi": [0, 0.8, 0.2]}
+# leaks 0.2-0.3 % a step, so about half its trajectories survive 300 steps
+MIXING = {"Q": [[0.5, 0.497, 0], [0.3, 0.4, 0.298], [0.2, 0.3, 0.498]], "pi": [0, 0.8, 0.2]}
+TRIANGLE_FULL = {"Q": [[0.5, 0, 0], [0.1, 0.5, 0], [0.2, 0.1, 0.5]], "pi": [1 / 3, 1 / 3, 1 / 3]}
 
 
 @pytest.fixture
@@ -108,6 +112,20 @@ def test_analyze_uncertified_exits_2_with_fallback(doc_file, capsys):
     assert "finite_horizon" in data["result"]
 
 
+def test_analyze_keeps_closed_form_when_qsd_fails(doc_file, capsys, monkeypatch):
+    # power iteration fails this way on triangle_full, after about 16 s
+    def fail(Q):
+        raise NoConvergence("power iteration did not reach tol 1e-14")
+
+    monkeypatch.setattr(limits, "quasi_stationary_distribution", fail)
+    code = main(["analyze", doc_file(TRIANGLE_FULL), "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert data["quasi_stationary"] == {"error": "power iteration did not reach tol 1e-14"}
+    assert data["assumptions"]["certified"] is True
+    assert "state_measure_input_order" in data["result"]
+
+
 def test_qed_command(doc_file, capsys):
     code = main(["qed", doc_file({**TWO_STATE, "observable": [3.0, 7.0]}), "--format", "json"])
     data = json.loads(capsys.readouterr().out)
@@ -144,6 +162,19 @@ def test_simulate_deterministic_bytes(doc_file, capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_simulate_bytes_fixed_across_versions(doc_file, capsys):
+    # bytes recorded before trajectories were batched; n + 1 > 256 spans two
+    # of the 256-uniform chunks a single trajectory draws
+    argv = ["simulate", doc_file(MIXING), "--n", "300", "--trials", "3000", "--seed", "5", "--format", "json"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        '{"n":300,"schema":"qergodic/1","seed":5,'
+        '"stderr":[0.00093232005749823484,0.00071032393655437215,0.00090877970367360384],'
+        '"trials":3000,"trials_surviving":1513,'
+        '"values":[0.34449389894447091,0.41086003254189968,0.24464606851363538]}\n'
+    )
 
 
 def test_seed_env_default(doc_file, capsys, monkeypatch):

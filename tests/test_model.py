@@ -168,6 +168,45 @@ def test_occupation_sums_to_one(seed, n):
     assert abs(profile.sum() - 1.0) <= 1e-10
 
 
+def plain_profile(Q, pi, n):
+    """The conditioned occupation by one sweep per split point r."""
+    a, b = [pi], [np.ones(len(pi))]
+    for _ in range(n):
+        a.append(a[-1] @ Q / (a[-1] @ Q).sum())
+        b.append(Q @ b[-1] / (Q @ b[-1]).max())
+    return sum(a[r] * b[n - r] / (a[r] @ b[n - r]) for r in range(n + 1)) / (n + 1)
+
+
+def test_occupation_matches_plain_sweep_at_long_horizon():
+    rng = np.random.default_rng(3)
+    d = 40
+    Q = np.where(rng.random((d, d)) < 0.15, rng.random((d, d)), 0.0)
+    Q *= (rng.uniform(0.5, 0.99, d) / Q.sum(axis=1))[:, None]
+    m = qg.validate(Q, rng.dirichlet(np.ones(d)))
+    n = 2000
+    assert np.max(np.abs(qg.occupation_profile(m, n) - plain_profile(m.Q, m.pi, n))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "Q, pi",
+    [([[1e-200]], [1.0]), ([[1e-20, 1e-30], [0.0, 0.5]], [1.0, 0.0]), ([[0.0, 0.0], [0.0, 1e-9]], [1 - 1e-300, 1e-300])],
+)
+def test_occupation_tiny_entries_do_not_underflow(Q, pi):
+    # a product of many steps of these underflows, one rescaled step does not
+    m = qg.validate(Q, pi)
+    for n in (40, 100):
+        assert np.max(np.abs(qg.occupation_profile(m, n) - plain_profile(m.Q, m.pi, n))) <= 1e-12
+
+
+def test_occupation_nilpotent_chain_underflows():
+    # pi Q^2 is exactly zero: nobody survives two steps
+    m = qg.validate([[0.0, 0.5], [0.0, 0.0]], [1.0, 0.0])
+    assert np.allclose(qg.occupation_profile(m, 1), [0.5, 0.5], atol=1e-15)
+    for n in (2, 3, 50):
+        with pytest.raises(SurvivalUnderflow):
+            qg.occupation_profile(m, n)
+
+
 def test_pi_scaling_invariance():
     # normalizing a scaled pi reproduces the same conditioned occupations
     rng = np.random.default_rng(11)
@@ -210,6 +249,38 @@ def test_monte_carlo_brackets_exact_value():
     e2 = estimates[1]
     assert abs(e2.value - 0.75) <= 3 * e2.stderr
     assert math.isclose(sum(e.value for e in estimates), 1.0, rel_tol=1e-12)
+
+
+def occupation_from_trajectories(m, n, trials, seed):
+    """The Monte Carlo estimate rebuilt one trajectory at a time."""
+    sums, sq_sums, surviving = np.zeros(m.d), np.zeros(m.d), 0
+    for i in range(trials):
+        path, T = qg.simulate_trajectory(m, seed, i)
+        if T <= n:
+            continue
+        counts = np.bincount(np.asarray(path[: n + 1]) - 1, minlength=m.d) / (n + 1)
+        sums += counts
+        sq_sums += counts * counts
+        surviving += 1
+    means = sums / surviving
+    var = (sq_sums - surviving * means**2) / (surviving - 1)
+    return means.tolist(), np.sqrt(np.clip(var, 0.0, None) / surviving).tolist(), surviving
+
+
+@pytest.mark.parametrize("batch", [None, 7])
+def test_monte_carlo_is_the_simulated_trajectories(batch, monkeypatch):
+    # n + 1 > 256 spans two of simulate_trajectory's 256-uniform chunks, and
+    # 700 trials is a multiple of neither batch size
+    if batch is not None:
+        monkeypatch.setattr(qg.model, "_MC_BATCH", batch)
+    m = qg.validate([[0.5, 0.497, 0], [0.3, 0.4, 0.298], [0.2, 0.3, 0.498]], [0, 0.8, 0.2])
+    n, trials, seed = 300, 700, 5
+    values, stderr, surviving = occupation_from_trajectories(m, n, trials, seed)
+    estimates = qg.monte_carlo_occupation(m, n, trials, seed)
+    assert 0 < surviving < trials
+    assert [e.value for e in estimates] == values
+    assert [e.stderr for e in estimates] == stderr
+    assert {e.trials_surviving for e in estimates} == {surviving}
 
 
 def test_monte_carlo_no_survivors():
