@@ -1,10 +1,10 @@
 """Command-line interface: file ingestion, command dispatch, reporting.
 
-Input is a JSON document {"Q": [[...]], "pi": [...], "labels": [...],
-"observable": [...], "options": {...}} or a CSV matrix with pi on a trailing
-line.  JSON output is canonical: sorted keys, floats printed with 17
-significant digits, so identical invocations produce identical bytes and
-re-emitting a parsed report is a fixed point.
+Input is a JSON document {"Q": [[...]], "pi": [...], "observable": [...],
+"options": {...}} or a CSV matrix with pi on a trailing line.  JSON output is
+canonical: sorted keys, floats printed with 17 significant digits, so
+identical invocations produce identical bytes and re-emitting a parsed report
+is a fixed point.
 """
 
 from __future__ import annotations
@@ -29,19 +29,14 @@ from .asymptotics import (
     q_theta_n,
 )
 from .errors import AssumptionViolation, NumericalError, ParseError, QergodicError, ValidationError
-from .paths import classify_path, enumerate_paths, maximal_paths
-from .spectral import spectrum_set
-from .structure import condense
 
 SCHEMA = "qergodic/1"
-_DOC_KEYS = {"Q", "pi", "labels", "observable", "options"}
-_OPTION_KEYS = {"validation_tol", "rho_eq_tol", "alpha_tol", "pi_restriction", "exact_scalar_compare"}
+_DOC_KEYS = {"Q", "pi", "observable", "options"}
 _DEFAULT_OPTIONS = {
     "validation_tol": 1e-12,
     "rho_eq_tol": 1e-9,
     "alpha_tol": 1e-12,
     "pi_restriction": True,
-    "exact_scalar_compare": True,
 }
 
 
@@ -49,7 +44,6 @@ _DEFAULT_OPTIONS = {
 class ChainDocument:
     Q: List[List[float]]
     pi: List[float]
-    labels: Optional[List[str]] = None
     observable: Optional[List[float]] = None
     options: Dict = field(default_factory=dict)
 
@@ -152,13 +146,12 @@ def _parse_json(text: str) -> ChainDocument:
         print("warning: no 'pi' given, defaulting to uniform", file=sys.stderr)
         pi = [1.0 / len(Q)] * len(Q)
     options = dict(data.get("options") or {})
-    unknown = set(options) - _OPTION_KEYS
+    unknown = set(options) - set(_DEFAULT_OPTIONS)
     if unknown:
         raise ParseError(f"unknown option keys: {sorted(unknown)}")
     return ChainDocument(
         Q=Q,
         pi=pi,
-        labels=data.get("labels"),
         observable=data.get("observable"),
         options={**_DEFAULT_OPTIONS, **options},
     )
@@ -194,14 +187,18 @@ def _build_model(doc: ChainDocument) -> core.SubstochasticModel:
 # --- report assembly -----------------------------------------------------
 
 
-def _analysis_payload(doc: ChainDocument, model: core.SubstochasticModel) -> Dict:
-    form = condense(model)
-    spectra = spectrum_set(form, doc.options["rho_eq_tol"])
-    pi_nf = model.pi[list(form.perm)]
-    classified = [classify_path(form, spectra, th, pi_nf) for th in enumerate_paths(form)]
-    family = maximal_paths(classified, spectra, doc.options["pi_restriction"])
-    report = limits.check_assumptions(form, spectra, family, doc.options["alpha_tol"])
-    payload = {
+def _analyze(doc: ChainDocument, model: core.SubstochasticModel) -> limits.Analysis:
+    return limits.analyze(
+        model,
+        rho_eq_tol=doc.options["rho_eq_tol"],
+        alpha_tol=doc.options["alpha_tol"],
+        restrict_to_pi_support=doc.options["pi_restriction"],
+    )
+
+
+def _analysis_payload(analysis: limits.Analysis) -> Dict:
+    form, spectra, family, report = analysis.form, analysis.spectra, analysis.family, analysis.report
+    return {
         "schema": SCHEMA,
         "permutation": [p + 1 for p in form.perm],
         "block_sizes": list(form.block_sizes),
@@ -239,12 +236,6 @@ def _analysis_payload(doc: ChainDocument, model: core.SubstochasticModel) -> Dic
             "certified": report.certified,
         },
     }
-    try:
-        payload["quasi_stationary"] = limits.quasi_stationary_distribution(model.Q)
-    except NumericalError as exc:
-        # the QSD is a side result: its failure must not hide the closed form
-        payload["quasi_stationary"] = {"error": str(exc)}
-    return payload
 
 
 def _result_payload(result: limits.QuasiErgodicResult) -> Dict:
@@ -311,16 +302,16 @@ def _print_table(obj, indent: int, key: str = "") -> None:
 
 def cmd_analyze(doc: ChainDocument, args) -> int:
     model = _build_model(doc)
-    payload = _analysis_payload(doc, model)
+    analysis = _analyze(doc, model)
+    payload = _analysis_payload(analysis)
+    try:
+        payload["quasi_stationary"] = limits.quasi_stationary_distribution(model.Q)
+    except NumericalError as exc:
+        # the QSD is a side result: its failure must not hide the closed form
+        payload["quasi_stationary"] = {"error": str(exc)}
     code = 0
     try:
-        result = limits.full_qed(
-            model,
-            rho_eq_tol=doc.options["rho_eq_tol"],
-            alpha_tol=doc.options["alpha_tol"],
-            restrict_to_pi_support=doc.options["pi_restriction"],
-        )
-        payload["result"] = _result_payload(result)
+        payload["result"] = _result_payload(limits.limit_measure(model, analysis))
     except AssumptionViolation:
         payload["result"] = _fallback_payload(model, args.n, args.trials, args.seed)
         code = 2
@@ -331,12 +322,7 @@ def cmd_analyze(doc: ChainDocument, args) -> int:
 def cmd_qed(doc: ChainDocument, args) -> int:
     model = _build_model(doc)
     try:
-        result = limits.full_qed(
-            model,
-            rho_eq_tol=doc.options["rho_eq_tol"],
-            alpha_tol=doc.options["alpha_tol"],
-            restrict_to_pi_support=doc.options["pi_restriction"],
-        )
+        result = limits.limit_measure(model, _analyze(doc, model))
     except AssumptionViolation as exc:
         payload = {"schema": SCHEMA, "violations": list(exc.report.violations) if exc.report else [str(exc)]}
         payload.update(_fallback_payload(model, args.n, args.trials, args.seed))
@@ -358,7 +344,7 @@ def cmd_qsd(doc: ChainDocument, args) -> int:
 
 def cmd_paths(doc: ChainDocument, args) -> int:
     model = _build_model(doc)
-    payload = _analysis_payload(doc, model)
+    payload = _analysis_payload(_analyze(doc, model))
     payload = {k: payload[k] for k in ("schema", "permutation", "block_sizes", "paths", "h_max", "rho_max")}
     _print_payload(payload, args.format)
     return 0
@@ -397,10 +383,10 @@ def cmd_simulate(doc: ChainDocument, args) -> int:
 
 def cmd_verify(doc: ChainDocument, args) -> int:
     model = _build_model(doc)
-    form = condense(model)
-    spectra = spectrum_set(form, doc.options["rho_eq_tol"])
+    analysis = _analyze(doc, model)
+    form, spectra = analysis.form, analysis.spectra
     pi_nf = model.pi[list(form.perm)]
-    thetas = enumerate_paths(form)
+    thetas = [p.theta for p in analysis.family.all]
     checks: List[Dict] = []
     ok = True
 
@@ -443,12 +429,7 @@ def cmd_verify(doc: ChainDocument, args) -> int:
 
     # closed form against the finite-horizon trend
     try:
-        result = limits.full_qed(
-            model,
-            rho_eq_tol=doc.options["rho_eq_tol"],
-            alpha_tol=doc.options["alpha_tol"],
-            restrict_to_pi_support=doc.options["pi_restriction"],
-        )
+        result = limits.limit_measure(model, analysis)
         grid = [n for n in (args.n_max // 4, args.n_max // 2, args.n_max) if n > 0]
         errors = []
         for n in grid:
@@ -462,10 +443,8 @@ def cmd_verify(doc: ChainDocument, args) -> int:
         )
     except AssumptionViolation:
         # growth-rate diagnostics must flag the dominant paths as diverging
-        classified = [classify_path(form, spectra, th, pi_nf) for th in thetas]
-        family = maximal_paths(classified, spectra, doc.options["pi_restriction"])
         verdicts = []
-        for p in family.maximal:
+        for p in analysis.family.maximal:
             diag = asymptotic_ratio_diagnostic(
                 lambda n, th=p.theta: path_numerator_sequence(form, pi_nf, th, n),
                 lambda n, pp=p: path_numerator_closed(pp, spectra, n),

@@ -16,6 +16,10 @@ class NegativeEntry(ValidationError):
     pass
 
 
+class NonFiniteEntry(ValidationError):
+    pass
+
+
 class RowSumExceedsOne(ValidationError):
     pass
 

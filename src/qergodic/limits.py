@@ -1,6 +1,10 @@
 """Closed-form conditioned limits: the irreducible case, the block-level and
-state-level formulas for reducible chains, the scalar-chain and single-path
-shortcuts, and the end-to-end pipeline including the periodic lift.
+state-level formulas for reducible chains, and the scalar-chain and
+single-path shortcuts.
+
+The pipeline is `analyze` (normal form, block spectra, dominant path family,
+assumption report) followed by `limit_measure` (the limit measures, averaged
+over the periodic lift when some block is cyclic); `full_qed` runs both.
 
 The reducible-case formula weights each dominant admissible path theta by
 
@@ -14,7 +18,7 @@ root-attaining positions), which makes the block masses sum to one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -57,6 +61,18 @@ class QuasiErgodicResult:
     rho_max: float
     h_max: int
     report: AssumptionReport
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """What the closed form is certified from.  The tolerances it was built
+    with travel along: rho_eq_tol in spectra, the pi restriction in family."""
+
+    form: FrobeniusForm
+    spectra: SpectrumSet
+    family: PathFamily
+    report: AssumptionReport
+    alpha_tol: float
 
 
 def irreducible_qed(Q) -> np.ndarray:
@@ -142,14 +158,12 @@ def block_qed(
     form: FrobeniusForm,
     spectra: SpectrumSet,
     family: PathFamily,
-    report: Optional[AssumptionReport] = None,
+    report: AssumptionReport,
 ) -> np.ndarray:
     """Block-level limit measure.
 
     Blocks whose root falls below the dominant root, and blocks missed by
     every dominant path, get exactly zero."""
-    if report is None:
-        report = check_assumptions(form, spectra, family)
     if not report.certified:
         raise AssumptionViolation("closed-form limit is not certified: " + "; ".join(report.violations), report=report)
     rho_max = family.rho_max_eff
@@ -170,7 +184,7 @@ def state_qed(
     form: FrobeniusForm,
     spectra: SpectrumSet,
     family: PathFamily,
-    report: Optional[AssumptionReport] = None,
+    report: AssumptionReport,
 ) -> np.ndarray:
     """State-level limit measure in normal-form order: within a block, the
     block mass is spread proportionally to u_t v_t (which sums to one)."""
@@ -245,51 +259,46 @@ def observable_limit(result: QuasiErgodicResult, f) -> float:
     return float(f @ result.state_measure_input)
 
 
-def _aperiodic_qed(
-    model: SubstochasticModel,
-    form: FrobeniusForm,
-    spectra: SpectrumSet,
-    pi_input: np.ndarray,
-    restrict_to_pi_support: bool,
-    alpha_tol: float,
-) -> QuasiErgodicResult:
-    pi_nf = np.asarray(pi_input, dtype=float)[list(form.perm)]
-    thetas = enumerate_paths(form)
-    classified = [classify_path(form, spectra, th, pi_nf) for th in thetas]
-    family = maximal_paths(classified, spectra, restrict_to_pi_support)
-    report = check_assumptions(form, spectra, family, alpha_tol)
-    blocks = block_qed(form, spectra, family, report)
-    states = state_qed(form, spectra, family, report)
-    state_input = np.zeros_like(states)
-    for p, orig in enumerate(form.perm):
-        state_input[orig] = states[p]
-    return QuasiErgodicResult(
-        block_measure=blocks,
-        state_measure=states,
-        state_measure_input=state_input,
-        perm=form.perm,
-        rho_max=family.rho_max_eff,
-        h_max=family.h_max,
-        report=report,
-    )
-
-
-def full_qed(
+def analyze(
     model: SubstochasticModel,
     rho_eq_tol: float = RHO_EQ_TOL,
     alpha_tol: float = ALPHA_TOL,
     restrict_to_pi_support: bool = True,
-) -> QuasiErgodicResult:
-    """End-to-end pipeline: normal form, spectra, path family, limits.
-
-    If some diagonal block is cyclic, the analysis runs on Q^N (N the lcm of
-    the block periods) for each of the N shifted initial vectors pi Q^i, and
-    the N state measures are averaged with equal weight; the result is then
-    reported against the original chain's blocks."""
+) -> Analysis:
+    """Normal form, block spectra, dominant path family and assumption report
+    of one chain: everything `limit_measure` and the CLI read."""
     form = condense(model)
     spectra = spectrum_set(form, rho_eq_tol)
+    pi_nf = model.pi[list(form.perm)]
+    classified = [classify_path(form, spectra, th, pi_nf) for th in enumerate_paths(form)]
+    family = maximal_paths(classified, spectra, restrict_to_pi_support)
+    report = check_assumptions(form, spectra, family, alpha_tol)
+    return Analysis(form=form, spectra=spectra, family=family, report=report, alpha_tol=alpha_tol)
+
+
+def limit_measure(model: SubstochasticModel, analysis: Analysis) -> QuasiErgodicResult:
+    """Block and state limit measures of the analysed chain.
+
+    If some diagonal block is cyclic, the chain is analysed again as Q^N (N
+    the lcm of the block periods) for each of the N shifted initial vectors
+    pi Q^i, with the same tolerances, and the N state measures are averaged
+    with equal weight; the result is then reported against the original
+    chain's blocks."""
+    form, spectra, family, report = analysis.form, analysis.spectra, analysis.family, analysis.report
     if all(s.primitive for s in spectra.blocks):
-        return _aperiodic_qed(model, form, spectra, model.pi, restrict_to_pi_support, alpha_tol)
+        blocks = block_qed(form, spectra, family, report)
+        states = state_qed(form, spectra, family, report)
+        state_input = np.zeros_like(states)
+        state_input[list(form.perm)] = states
+        return QuasiErgodicResult(
+            block_measure=blocks,
+            state_measure=states,
+            state_measure_input=state_input,
+            perm=form.perm,
+            rho_max=family.rho_max_eff,
+            h_max=family.h_max,
+            report=report,
+        )
 
     lift = aperiodic_lift(model, form)
     avg = np.zeros(model.d)
@@ -299,9 +308,8 @@ def full_qed(
         if s == 0.0:
             raise SurvivalUnderflow("a shifted initial vector is zero")
         model_i = validate(lift.lifted_Q, pi_i / s)
-        form_i = condense(model_i)
-        spectra_i = spectrum_set(form_i, rho_eq_tol)
-        res_i = _aperiodic_qed(model_i, form_i, spectra_i, model_i.pi, restrict_to_pi_support, alpha_tol)
+        analysis_i = analyze(model_i, spectra.rho_eq_tol, analysis.alpha_tol, family.pi_restricted)
+        res_i = limit_measure(model_i, analysis_i)
         avg += res_i.state_measure_input
         last_result = res_i
     avg /= lift.N
@@ -317,3 +325,13 @@ def full_qed(
         h_max=last_result.h_max,
         report=last_result.report,
     )
+
+
+def full_qed(
+    model: SubstochasticModel,
+    rho_eq_tol: float = RHO_EQ_TOL,
+    alpha_tol: float = ALPHA_TOL,
+    restrict_to_pi_support: bool = True,
+) -> QuasiErgodicResult:
+    """End-to-end pipeline: `analyze`, then `limit_measure`."""
+    return limit_measure(model, analyze(model, rho_eq_tol, alpha_tol, restrict_to_pi_support))

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     NegativeEntry,
+    NonFiniteEntry,
     NoSurvivors,
     NotADistribution,
     NotTransient,
@@ -62,8 +63,8 @@ def validate(Q, pi=None, tol: float = DEFAULT_TOL) -> SubstochasticModel:
     """Validate raw inputs and build a model with the absorption column derived
     from the row sums of Q.
 
-    Raises NegativeEntry, RowSumExceedsOne, NotADistribution, ShapeMismatch or
-    NotTransient on bad input.
+    Raises NonFiniteEntry, NegativeEntry, RowSumExceedsOne, NotADistribution,
+    ShapeMismatch or NotTransient on bad input.
     """
     Q = np.array(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -76,6 +77,10 @@ def validate(Q, pi=None, tol: float = DEFAULT_TOL) -> SubstochasticModel:
     pi = np.array(pi, dtype=float).reshape(-1)
     if pi.shape[0] != d:
         raise ShapeMismatch(f"pi has length {pi.shape[0]}, expected {d}")
+    # NaN fails every comparison below, so it must be caught first
+    for name, x in (("Q", Q), ("pi", pi)):
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteEntry(f"{name} has a non-finite entry")
 
     if np.any(Q < 0):
         i, j = np.argwhere(Q < 0)[0]

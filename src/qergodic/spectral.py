@@ -14,8 +14,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import AmbiguousRhoClasses, NoConvergence, NotIrreducible
-from .structure import FrobeniusForm, _is_strongly_connected, block_period, is_primitive
+from .errors import AmbiguousRhoClasses, NoConvergence
+from .structure import FrobeniusForm, block_period
 
 POWER_TOL = 1e-13
 POWER_MAX_ITER = 10**6
@@ -84,7 +84,8 @@ def _power_iteration(M: np.ndarray, tol: float, max_iter: int):
 
 
 def perron_block(block: np.ndarray, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER) -> BlockSpectrum:
-    """Perron data of an irreducible diagonal block.
+    """Perron data of an irreducible diagonal block.  Irreducibility is the
+    caller's to guarantee; `condense` yields only irreducible blocks.
 
     For primitive blocks, power iteration runs on the block and its transpose
     directly.  For a block of period h > 1 the root is found by iterating on
@@ -106,10 +107,8 @@ def perron_block(block: np.ndarray, tol: float = POWER_TOL, max_iter: int = POWE
             primitive=True,
             scalar=True,
         )
-    if not _is_strongly_connected(block):
-        raise NotIrreducible("diagonal block is not irreducible")
     h = block_period(block)
-    primitive = is_primitive(block)
+    primitive = h == 1
     if primitive:
         rho, v = _power_iteration(block, tol, max_iter)
         _, u = _power_iteration(block.T, tol, max_iter)

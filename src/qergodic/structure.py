@@ -1,6 +1,6 @@
 """Block-triangular normal form of the transient transition matrix and the
-graph invariants of its diagonal blocks: periods, primitivity, and the lift
-that removes periodicity.
+graph invariants of its diagonal blocks: periods, and the lift that removes
+periodicity.
 
 The normal form orders the strongly connected components so that the permuted
 matrix is lower block triangular: block i can only reach blocks j <= i.  The
@@ -210,20 +210,6 @@ def block_period(block: np.ndarray) -> int:
             if block[v, w] != 0.0:
                 g = math.gcd(g, level[v] + 1 - level[w])
     return g
-
-
-def is_primitive(block: np.ndarray) -> bool:
-    """True iff the irreducible block has period 1.
-
-    For blocks of size at most 6 the answer is cross-checked against the
-    Wielandt bound: primitivity iff block^((n-1)^2 + 1) is entrywise positive.
-    """
-    result = block_period(block) == 1
-    n = block.shape[0]
-    if n <= 6:
-        M = np.linalg.matrix_power((block != 0.0).astype(float), (n - 1) ** 2 + 1)
-        assert result == bool(np.all(M > 0)), "period and Wielandt test disagree"
-    return result
 
 
 def aperiodic_lift(model: SubstochasticModel, form: FrobeniusForm) -> PeriodicLift:

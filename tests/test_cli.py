@@ -1,13 +1,16 @@
 """CLI contract: parsing, canonical JSON, exit codes, determinism."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from qergodic import limits
+from qergodic import limits, paths
 from qergodic.cli import ChainDocument, emit_json, main, parse_document
 from qergodic.errors import NoConvergence, ParseError
+
+from conftest import CHAINS
 
 
 TWO_STATE = {"Q": [[0.3, 0.0], [0.5, 0.5]], "pi": [0.5, 0.5]}
@@ -42,6 +45,10 @@ def test_parse_rejects_unknown_keys(doc_file):
         parse_document(doc_file({**TWO_STATE, "extra": 1}))
     with pytest.raises(ParseError):
         parse_document(doc_file({**TWO_STATE, "options": {"bogus": 1}}))
+    with pytest.raises(ParseError):
+        parse_document(doc_file({**TWO_STATE, "labels": ["a", "b"]}))
+    with pytest.raises(ParseError):
+        parse_document(doc_file({**TWO_STATE, "options": {"exact_scalar_compare": True}}))
 
 
 def test_parse_rejects_ragged_rows(doc_file):
@@ -126,6 +133,75 @@ def test_analyze_keeps_closed_form_when_qsd_fails(doc_file, capsys, monkeypatch)
     assert "state_measure_input_order" in data["result"]
 
 
+# recorded before the CLI and full_qed shared one analysis: exit code, bytes
+ANALYZE_BYTES = {
+    "matrix_block": (
+        0,
+        '{"assumptions":{"certified":true,"pi_restriction":true,"scalar_ok":true,"violations":[],"witness'
+        '_path":[1]},"block_sizes":[2,1],"blocks":[{"period":1,"primitive":true,"rho":0.24142135623746899'
+        ',"scalar":false,"sub_modulus":0.04142135623730997,"u":[1.2071067811865475,0.50000000000033029],"'
+        'v":[0.70710678118641068,0.29289321881358926]},{"period":1,"primitive":true,"rho":0.1000000000000'
+        '0001,"scalar":true,"sub_modulus":0,"u":[1],"v":[1]}],"h_max":1,"paths":[{"alpha":1.7071067811868'
+        '779,"h_minus":0,"h_plus":1,"maximal":true,"pi_mass":0.25,"rho":0.24142135623746899,"theta":[1]},'
+        '{"alpha":1,"h_minus":0,"h_plus":1,"maximal":false,"pi_mass":0.5,"rho":0.10000000000000001,"theta'
+        '":[2]},{"alpha":0.2207106781187208,"h_minus":1,"h_plus":1,"maximal":true,"pi_mass":0.5,"rho":0.2'
+        '4142135623746899,"theta":[2,1]}],"permutation":[1,2,3],"quasi_stationary":[0.70710678118646841,0'
+        '.29289321881347891,5.2699054938722558e-14],"result":{"block_measure":[1,0],"h_max":1,"rho_max":0'
+        '.24142135623746899,"state_measure_input_order":[0.85355339059310853,0.14644660940689136,0],"stat'
+        'e_measure_normal_form":[0.85355339059310853,0.14644660940689136,0]},"rho_max":0.2414213562374689'
+        '9,"schema":"qergodic/1"}\n'
+    ),
+    "uncertified": (
+        2,
+        '{"assumptions":{"certified":false,"pi_restriction":true,"scalar_ok":false,"violations":["block 2'
+        ' has root 0.5 below the dominant root but is not scalar (size 2)"],"witness_path":[2,1]},"block_'
+        'sizes":[1,2],"blocks":[{"period":1,"primitive":true,"rho":0.69999999999999996,"scalar":true,"sub'
+        '_modulus":0,"u":[1],"v":[1]},{"period":1,"primitive":true,"rho":0.5,"scalar":false,"sub_modulus"'
+        ':0.30000000000000049,"u":[1,1],"v":[0.5,0.5]}],"h_max":1,"paths":[{"alpha":1,"h_minus":0,"h_plus'
+        '":1,"maximal":false,"pi_mass":0,"rho":0.69999999999999996,"theta":[1]},{"alpha":2,"h_minus":0,"h'
+        '_plus":1,"maximal":false,"pi_mass":0.5,"rho":0.5,"theta":[2]},{"alpha":0.25,"h_minus":1,"h_plus"'
+        ':1,"maximal":true,"pi_mass":0.5,"rho":0.69999999999999996,"theta":[2,1]}],"permutation":[1,2,3],'
+        '"quasi_stationary":[0.99999999999992006,3.9992497328471697e-14,3.9992497328471691e-14],"result":'
+        '{"banner":"no closed form certified; finite-horizon and Monte Carlo estimates follow","finite_ho'
+        'rizon":{"n":400,"state_occupation":[0.99193752905870924,0.0062502641700832714,0.0018122067712075'
+        '744]},"monte_carlo":{"error":"none of 500 trajectories survived past n=200"}},"rho_max":0.699999'
+        '99999999996,"schema":"qergodic/1"}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_BYTES))
+def test_analyze_bytes_fixed_across_versions(name, doc_file, capsys):
+    code, expected = ANALYZE_BYTES[name]
+    Q, pi = CHAINS[name]
+    path = doc_file({"Q": Q, "pi": pi})
+    assert main(["analyze", path, "--format", "json", "--n", "400", "--trials", "500", "--seed", "3"]) == code
+    assert capsys.readouterr().out == expected
+
+
+def _count_calls(monkeypatch, fn):
+    """Count the calls of fn through every qergodic module binding."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "qergodic" or name.startswith("qergodic."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_command_analyzes_the_chain_once(command, doc_file, capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, paths.enumerate_paths)
+    assert main([command, doc_file(TWO_STATE), "--format", "json", "--n-max", "200"]) == 0
+    assert len(calls) == 1
+
+
 def test_qed_command(doc_file, capsys):
     code = main(["qed", doc_file({**TWO_STATE, "observable": [3.0, 7.0]}), "--format", "json"])
     data = json.loads(capsys.readouterr().out)
@@ -145,6 +221,20 @@ def test_paths_command(doc_file, capsys):
     data = json.loads(capsys.readouterr().out)
     assert code == 0
     assert sorted(tuple(p["theta"]) for p in data["paths"]) == [(1,), (2,), (2, 1)]
+
+
+def test_paths_command_skips_qsd(doc_file, capsys, monkeypatch):
+    path = doc_file(TWO_STATE)
+    assert main(["analyze", path, "--format", "json"]) == 0
+    full = json.loads(capsys.readouterr().out)
+
+    def fail(Q):
+        raise AssertionError("paths must not compute the QSD")
+
+    monkeypatch.setattr(limits, "quasi_stationary_distribution", fail)
+    assert main(["paths", path, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == {k: full[k] for k in ("schema", "permutation", "block_sizes", "paths", "h_max", "rho_max")}
 
 
 def test_finite_n_zero_prints_pi(doc_file, capsys):
@@ -170,10 +260,10 @@ def test_simulate_bytes_fixed_across_versions(doc_file, capsys):
     argv = ["simulate", doc_file(MIXING), "--n", "300", "--trials", "3000", "--seed", "5", "--format", "json"]
     assert main(argv) == 0
     assert capsys.readouterr().out == (
-        '{"n":300,"schema":"qergodic/1","seed":5,'
-        '"stderr":[0.00093232005749823484,0.00071032393655437215,0.00090877970367360384],'
-        '"trials":3000,"trials_surviving":1513,'
-        '"values":[0.34449389894447091,0.41086003254189968,0.24464606851363538]}\n'
+            '{"n":300,"schema":"qergodic/1","seed":5,'
+            '"stderr":[0.00093232005749823484,0.00071032393655437215,0.00090877970367360384],'
+            '"trials":3000,"trials_surviving":1513,'
+            '"values":[0.34449389894447091,0.41086003254189968,0.24464606851363538]}\n'
     )
 
 
@@ -209,6 +299,8 @@ def test_input_error_exit_code(tmp_path, capsys):
     path.write_text('{"Q": [[1.5, 0.0], [0.0, 0.5]], "pi": [0.5, 0.5]}')
     assert main(["analyze", str(path)]) == 1
     assert main(["analyze", str(tmp_path / "missing.json")]) == 1
+    path.write_text('{"Q": [[0.5, 0.1], [0.1, 0.5]], "pi": [NaN, 0.5]}')
+    assert main(["analyze", str(path)]) == 1
 
 
 def test_no_pi_restriction_flag(doc_file, capsys):

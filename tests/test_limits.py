@@ -9,8 +9,7 @@ import pytest
 import qergodic as qg
 from qergodic import limits
 from qergodic.errors import AssumptionViolation, NotIrreducible, NotScalarChain, NotSinglePath
-from qergodic.paths import classify_path, enumerate_paths, maximal_paths
-from qergodic.spectral import spectrum_set
+from qergodic.paths import classify_path, maximal_paths
 from qergodic.structure import condense
 
 from conftest import model_of, random_model
@@ -19,12 +18,8 @@ S2 = math.sqrt(2.0)
 
 
 def _pipeline(model, restrict=True):
-    form = condense(model)
-    spectra = spectrum_set(form)
-    pi_nf = model.pi[list(form.perm)]
-    classified = [classify_path(form, spectra, th, pi_nf) for th in enumerate_paths(form)]
-    family = maximal_paths(classified, spectra, restrict)
-    return form, spectra, family, pi_nf
+    a = limits.analyze(model, restrict_to_pi_support=restrict)
+    return a.form, a.spectra, a.family, a.report, model.pi[list(a.form.perm)]
 
 
 # --- irreducible case ----------------------------------------------------
@@ -66,14 +61,14 @@ def test_qsd_irreducible_and_scalar():
 
 def test_report_certified_for_scalar_chain():
     m = model_of("triangle_full")
-    form, spectra, family, _ = _pipeline(m)
+    form, spectra, family, _, _ = _pipeline(m)
     report = limits.check_assumptions(form, spectra, family)
     assert report.scalar_ok and report.witness_path is not None and report.certified
 
 
 def test_report_flags_nonscalar_subdominant_block():
     m = model_of("uncertified")
-    form, spectra, family, _ = _pipeline(m)
+    form, spectra, family, _, _ = _pipeline(m)
     report = limits.check_assumptions(form, spectra, family)
     assert not report.scalar_ok
     assert not report.certified
@@ -83,7 +78,7 @@ def test_report_flags_nonscalar_subdominant_block():
 def test_no_witness_when_family_unreachable():
     # unrestricted family keeps dominant paths whose start block has no mass
     m = qg.validate([[0.3, 0.0], [0.5, 0.5]], [1.0, 0.0])
-    form, spectra, family, _ = _pipeline(m, restrict=False)
+    form, spectra, family, _, _ = _pipeline(m, restrict=False)
     report = limits.check_assumptions(form, spectra, family)
     assert report.witness_path is None and not report.certified
 
@@ -93,52 +88,52 @@ def test_no_witness_when_family_unreachable():
 
 def test_block_qed_five_block():
     m = model_of("five_block")
-    form, spectra, family, _ = _pipeline(m)
-    got = limits.block_qed(form, spectra, family)
+    form, spectra, family, report, _ = _pipeline(m)
+    got = limits.block_qed(form, spectra, family, report)
     assert np.max(np.abs(got - np.array([0.0, 0.15, 0.35, 0.35, 0.15]))) <= 1e-10
 
 
 def test_block_qed_single_dominant_path():
     m = model_of("triangle_full")
-    form, spectra, family, _ = _pipeline(m)
-    got = limits.block_qed(form, spectra, family)
+    form, spectra, family, report, _ = _pipeline(m)
+    got = limits.block_qed(form, spectra, family, report)
     assert np.max(np.abs(got - np.array([1 / 3, 1 / 3, 1 / 3]))) <= 1e-12
 
 
 def test_block_qed_irreducible_single_block():
     m = qg.validate([[0.2, 0.1], [0.1, 0.0]], [0.5, 0.5])
-    form, spectra, family, _ = _pipeline(m)
-    assert np.allclose(limits.block_qed(form, spectra, family), [1.0])
+    form, spectra, family, report, _ = _pipeline(m)
+    assert np.allclose(limits.block_qed(form, spectra, family, report), [1.0])
 
 
 def test_block_qed_raises_without_certification():
     m = model_of("uncertified")
-    form, spectra, family, _ = _pipeline(m)
+    form, spectra, family, report, _ = _pipeline(m)
     with pytest.raises(AssumptionViolation) as exc:
-        limits.block_qed(form, spectra, family)
+        limits.block_qed(form, spectra, family, report)
     assert exc.value.report is not None
 
 
 def test_state_qed_matrix_block():
     m = model_of("matrix_block")
-    form, spectra, family, _ = _pipeline(m)
-    got = limits.state_qed(form, spectra, family)
+    form, spectra, family, report, _ = _pipeline(m)
+    got = limits.state_qed(form, spectra, family, report)
     want = np.array([(3 + 2 * S2) / (4 + 2 * S2), 1 / (4 + 2 * S2), 0.0])
     assert np.max(np.abs(got - want)) <= 1e-8
 
 
 def test_state_qed_four_block():
     m = model_of("four_block")
-    form, spectra, family, _ = _pipeline(m)
-    got = limits.state_qed(form, spectra, family)
+    form, spectra, family, report, _ = _pipeline(m)
+    got = limits.state_qed(form, spectra, family, report)
     assert np.max(np.abs(got - np.array([0.25, 0.25, 0.0, 0.5]))) <= 1e-10
 
 
 def test_state_qed_scalar_equals_block():
     m = model_of("five_block")
-    form, spectra, family, _ = _pipeline(m)
+    form, spectra, family, report, _ = _pipeline(m)
     assert np.array_equal(
-        limits.state_qed(form, spectra, family), limits.block_qed(form, spectra, family)
+        limits.state_qed(form, spectra, family, report), limits.block_qed(form, spectra, family, report)
     )
 
 
@@ -148,36 +143,36 @@ def test_state_qed_scalar_equals_block():
 def test_scalar_route_agrees_with_block_route():
     for name in ("two_state", "triangle_full", "triangle_split", "four_block", "five_block"):
         m = model_of(name)
-        form, spectra, family, pi_nf = _pipeline(m)
-        a = limits.block_qed(form, spectra, family)
+        form, spectra, family, report, pi_nf = _pipeline(m)
+        a = limits.block_qed(form, spectra, family, report)
         b = limits.scalar_case_qed(form, spectra, family, pi_nf)
         assert np.max(np.abs(a - b)) <= 1e-12, name
 
 
 def test_scalar_route_rejects_matrix_blocks():
     m = model_of("matrix_block")
-    form, spectra, family, pi_nf = _pipeline(m)
+    form, spectra, family, _, pi_nf = _pipeline(m)
     with pytest.raises(NotScalarChain):
         limits.scalar_case_qed(form, spectra, family, pi_nf)
 
 
 def test_scalar_route_triangle_split_values():
     m = model_of("triangle_split")
-    form, spectra, family, pi_nf = _pipeline(m)
+    form, spectra, family, _, pi_nf = _pipeline(m)
     got = limits.scalar_case_qed(form, spectra, family, pi_nf)
     assert np.max(np.abs(got - np.array([0.5, 1 / 6, 1 / 3]))) <= 1e-12
 
 
 def test_single_path_shortcut():
     m = model_of("triangle_full")
-    form, spectra, family, _ = _pipeline(m)
+    form, spectra, family, report, _ = _pipeline(m)
     got = limits.single_path_qed(family, spectra)
-    assert np.array_equal(got, limits.block_qed(form, spectra, family))
+    assert np.array_equal(got, limits.block_qed(form, spectra, family, report))
 
 
 def test_single_path_rejects_multiple():
     m = model_of("two_state")
-    _, spectra, family, _ = _pipeline(m)
+    _, spectra, family, _, _ = _pipeline(m)
     with pytest.raises(NotSinglePath):
         limits.single_path_qed(family, spectra)
 
@@ -247,9 +242,9 @@ def test_block_and_state_sums_consistent():
 def test_unnormalized_pi_scale_invariance_of_weights():
     # the measure is a ratio of terms linear in pi, so scaling pi is inert
     m = model_of("five_block")
-    form, spectra, family, pi_nf = _pipeline(m)
-    a = limits.block_qed(form, spectra, family)
+    form, spectra, family, report, pi_nf = _pipeline(m)
+    a = limits.block_qed(form, spectra, family, report)
     scaled = [classify_path(form, spectra, p.theta, 3.7 * pi_nf) for p in family.all]
     fam2 = maximal_paths(scaled, spectra)
-    b = limits.block_qed(form, spectra, fam2)
+    b = limits.block_qed(form, spectra, fam2, limits.check_assumptions(form, spectra, fam2))
     assert np.max(np.abs(a - b)) <= 1e-12

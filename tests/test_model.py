@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import qergodic as qg
 from qergodic.errors import (
     NegativeEntry,
+    NonFiniteEntry,
     NoSurvivors,
     NotADistribution,
     NotTransient,
@@ -45,6 +46,16 @@ def test_validate_rejects_row_sum_above_one():
 def test_validate_rejects_negative_entry():
     with pytest.raises(NegativeEntry):
         qg.validate([[-0.1, 0.2], [0.0, 0.5]], [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "Q, pi",
+    [([[math.nan, 0.1], [0.1, 0.5]], [0.5, 0.5]), ([[0.5, 0.1], [0.1, 0.5]], [math.nan, 0.5])],
+    ids=["nan_in_Q", "nan_in_pi"],
+)
+def test_validate_rejects_non_finite_entry(Q, pi):
+    with pytest.raises(NonFiniteEntry):
+        qg.validate(Q, pi)
 
 
 def test_validate_rejects_bad_distribution():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qergodic as qg
+from qergodic import limits
 from qergodic.errors import BlockNotOnPath, EmptyFamily
 from qergodic.paths import (
     classify_path,
@@ -25,12 +26,8 @@ from conftest import model_of, random_model
 
 
 def _family(name, restrict=True):
-    m = model_of(name)
-    form = condense(m)
-    spectra = spectrum_set(form)
-    pi_nf = m.pi[list(form.perm)]
-    classified = [classify_path(form, spectra, th, pi_nf) for th in enumerate_paths(form)]
-    return form, spectra, maximal_paths(classified, spectra, restrict)
+    a = limits.analyze(model_of(name), restrict_to_pi_support=restrict)
+    return a.form, a.spectra, a.family
 
 
 def test_enumerate_triangle_full():

@@ -1,10 +1,10 @@
-"""Normal form computation, block periods, primitivity, periodic lift."""
+"""Normal form computation, block periods, periodic lift."""
 
 import numpy as np
 import pytest
 
 import qergodic as qg
-from qergodic.structure import aperiodic_lift, block_period, condense, is_primitive
+from qergodic.structure import aperiodic_lift, block_period, condense
 
 from conftest import model_of, random_model
 
@@ -96,10 +96,24 @@ def test_block_period_divides_cycle_lengths():
                     assert length % h == 0
 
 
-def test_is_primitive():
-    assert is_primitive(np.array([[0.2, 0.1], [0.1, 0.0]]))
-    assert not is_primitive(np.array([[0.0, 0.9], [0.9, 0.0]]))
-    assert is_primitive(np.array([[0.5]]))
+def test_period_one_iff_wielandt_power_positive():
+    # Wielandt: an irreducible n x n block is primitive iff its pattern raised
+    # to (n - 1)^2 + 1 is positive.  A 1 x 1 block with a zero diagonal is a
+    # trivial component (period 1 by convention, never positive), so n >= 2.
+    rng = np.random.default_rng(29)
+    blocks = []
+    for _ in range(300):
+        d = int(rng.integers(2, 7))
+        Q = np.where(rng.random((d, d)) < rng.uniform(0.2, 0.6), 0.1, 0.0)
+        form = condense(qg.validate(Q, np.full(d, 1.0 / d)))
+        blocks.extend(B for B in form.diag_blocks if B.shape[0] >= 2)
+    seen = set()
+    for B in blocks:
+        n = B.shape[0]
+        positive = bool(np.all(np.linalg.matrix_power((B != 0.0).astype(float), (n - 1) ** 2 + 1) > 0))
+        assert (block_period(B) == 1) == positive
+        seen.add(positive)
+    assert seen == {True, False}
 
 
 def test_aperiodic_lift_trivial_when_primitive():
@@ -120,7 +134,7 @@ def test_aperiodic_lift_splits_periodic_block():
     # the lifted chain recondenses into primitive blocks only
     m2 = qg.validate(lift.lifted_Q, m.pi)
     form2 = condense(m2)
-    assert all(is_primitive(B) for B in form2.diag_blocks)
+    assert all(block_period(B) == 1 for B in form2.diag_blocks)
 
 
 def test_lift_preserves_pi_mass():
