@@ -311,7 +311,7 @@ def cmd_analyze(doc: ChainDocument, args) -> int:
         payload["quasi_stationary"] = {"error": str(exc)}
     code = 0
     try:
-        payload["result"] = _result_payload(limits.limit_measure(model, analysis))
+        payload["result"] = _result_payload(limits.limit_measure(analysis))
     except AssumptionViolation:
         payload["result"] = _fallback_payload(model, args.n, args.trials, args.seed)
         code = 2
@@ -322,7 +322,7 @@ def cmd_analyze(doc: ChainDocument, args) -> int:
 def cmd_qed(doc: ChainDocument, args) -> int:
     model = _build_model(doc)
     try:
-        result = limits.limit_measure(model, _analyze(doc, model))
+        result = limits.limit_measure(_analyze(doc, model))
     except AssumptionViolation as exc:
         payload = {"schema": SCHEMA, "violations": list(exc.report.violations) if exc.report else [str(exc)]}
         payload.update(_fallback_payload(model, args.n, args.trials, args.seed))
@@ -429,7 +429,7 @@ def cmd_verify(doc: ChainDocument, args) -> int:
 
     # closed form against the finite-horizon trend
     try:
-        result = limits.limit_measure(model, analysis)
+        result = limits.limit_measure(analysis)
         grid = [n for n in (args.n_max // 4, args.n_max // 2, args.n_max) if n > 0]
         errors = []
         for n in grid:

@@ -3,8 +3,10 @@ state-level formulas for reducible chains, and the scalar-chain and
 single-path shortcuts.
 
 The pipeline is `analyze` (normal form, block spectra, dominant path family,
-assumption report) followed by `limit_measure` (the limit measures, averaged
-over the periodic lift when some block is cyclic); `full_qed` runs both.
+assumption report) followed by `limit_measure` (the limit measures);
+`full_qed` runs both.  Cyclic blocks take the same path as primitive ones:
+only their Perron vectors enter the limit, and the assumption report marks
+the chains whose conditioned occupation depends on the phase n mod g.
 
 The reducible-case formula weights each dominant admissible path theta by
 
@@ -18,22 +20,17 @@ root-attaining positions), which makes the block masses sum to one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    AssumptionViolation,
-    NotIrreducible,
-    NotScalarChain,
-    NotSinglePath,
-    SurvivalUnderflow,
-)
-from .model import SubstochasticModel, validate
+from .errors import AssumptionViolation, NotIrreducible, NotScalarChain, NotSinglePath
+from .model import SubstochasticModel
 from .paths import AdmissiblePath, PathFamily, classify_path, enumerate_paths, maximal_paths
 from .spectral import SpectrumSet, perron_block, spectrum_set, _power_iteration
-from .structure import FrobeniusForm, _is_strongly_connected, aperiodic_lift, condense
+from .structure import FrobeniusForm, _strongly_connected_components, condense
 
 ALPHA_TOL = 1e-12
 RHO_EQ_TOL = 1e-9
@@ -49,7 +46,7 @@ class AssumptionReport:
 
     @property
     def certified(self) -> bool:
-        return self.scalar_ok and self.witness_path is not None
+        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,6 @@ class Analysis:
     spectra: SpectrumSet
     family: PathFamily
     report: AssumptionReport
-    alpha_tol: float
 
 
 def irreducible_qed(Q) -> np.ndarray:
@@ -84,7 +80,7 @@ def irreducible_qed(Q) -> np.ndarray:
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise NotIrreducible("expected a square matrix")
-    if not _is_strongly_connected(Q):
+    if len(_strongly_connected_components([np.flatnonzero(row).tolist() for row in Q])) != 1:
         raise NotIrreducible("matrix is not irreducible")
     s = perron_block(Q)
     return s.u * s.v
@@ -109,11 +105,14 @@ def check_assumptions(
 ) -> AssumptionReport:
     """Certify applicability of the closed-form limit.
 
-    Two requirements: every block whose root falls below the dominant root
-    and which lies on a path that carries initial mass must be scalar, and
-    some dominant path must have a nonzero combined weight alpha * pi_mass
+    Three requirements: every block whose root falls below the dominant root
+    and which lies on a path that carries initial mass must be scalar; some
+    dominant path must have a nonzero combined weight alpha * pi_mass
     (decided relative to the largest such weight, to avoid certifying an
-    ill-conditioned limit)."""
+    ill-conditioned limit); and the limit must not depend on the phase
+    n mod g, which it does when the dominant paths do not all meet the same
+    root-attaining blocks and the periods of one path's root-attaining
+    blocks share a factor g > 1 (see `_phase_violation`)."""
     violations: List[str] = []
     relevant = family.all if not family.pi_restricted else tuple(p for p in family.all if p.pi_mass != 0.0)
     scalar_ok = True
@@ -138,6 +137,9 @@ def check_assumptions(
                 break
     if witness is None:
         violations.append("every dominant path has vanishing weight alpha * pi_mass")
+    phase = _phase_violation(spectra, family)
+    if phase is not None:
+        violations.append(phase)
     return AssumptionReport(
         scalar_ok=scalar_ok,
         witness_path=witness,
@@ -145,6 +147,32 @@ def check_assumptions(
         violations=tuple(violations),
         used_pi_restriction=family.pi_restricted,
     )
+
+
+def _phase_violation(spectra: SpectrumSet, family: PathFamily) -> Optional[str]:
+    """Why the conditioned occupation keeps oscillating with n, or None.
+
+    Each cyclic block of period g has g peripheral eigenpairs, and every one
+    of them has u_j v_j = u v.  So when every dominant path meets the same
+    root-attaining blocks (its top set), the oscillation cancels in the
+    ratio that defines the limit.  Otherwise a path's leading term
+    n^(h-1) rho^n oscillates exactly when its top blocks share a root of
+    unity other than 1, that is when their periods share a factor g > 1."""
+    rho = family.rho_max_eff
+    if not any(s.period > 1 for t, s in enumerate(spectra.blocks, start=1) if spectra.attains(t, rho)):
+        return None
+    top_sets = {tuple(t for t in p.theta if spectra.attains(t, rho)) for p in family.maximal}
+    if len(top_sets) <= 1:
+        return None
+    for top in sorted(top_sets):
+        periods = [spectra.blocks[t - 1].period for t in top]
+        g = math.gcd(*periods)
+        if g > 1:
+            return (
+                f"dominant paths meet different sets of root-attaining blocks, and the set {list(top)} "
+                f"has periods {periods} with common factor {g}: the limit depends on n mod {g}"
+            )
+    return None
 
 
 def _path_weight(p: AdmissiblePath, spectra: SpectrumSet, rho_max: float) -> float:
@@ -273,57 +301,24 @@ def analyze(
     classified = [classify_path(form, spectra, th, pi_nf) for th in enumerate_paths(form)]
     family = maximal_paths(classified, spectra, restrict_to_pi_support)
     report = check_assumptions(form, spectra, family, alpha_tol)
-    return Analysis(form=form, spectra=spectra, family=family, report=report, alpha_tol=alpha_tol)
+    return Analysis(form=form, spectra=spectra, family=family, report=report)
 
 
-def limit_measure(model: SubstochasticModel, analysis: Analysis) -> QuasiErgodicResult:
-    """Block and state limit measures of the analysed chain.
-
-    If some diagonal block is cyclic, the chain is analysed again as Q^N (N
-    the lcm of the block periods) for each of the N shifted initial vectors
-    pi Q^i, with the same tolerances, and the N state measures are averaged
-    with equal weight; the result is then reported against the original
-    chain's blocks."""
+def limit_measure(analysis: Analysis) -> QuasiErgodicResult:
+    """Block and state limit measures of the analysed chain."""
     form, spectra, family, report = analysis.form, analysis.spectra, analysis.family, analysis.report
-    if all(s.primitive for s in spectra.blocks):
-        blocks = block_qed(form, spectra, family, report)
-        states = state_qed(form, spectra, family, report)
-        state_input = np.zeros_like(states)
-        state_input[list(form.perm)] = states
-        return QuasiErgodicResult(
-            block_measure=blocks,
-            state_measure=states,
-            state_measure_input=state_input,
-            perm=form.perm,
-            rho_max=family.rho_max_eff,
-            h_max=family.h_max,
-            report=report,
-        )
-
-    lift = aperiodic_lift(model, form)
-    avg = np.zeros(model.d)
-    last_result: Optional[QuasiErgodicResult] = None
-    for pi_i in lift.shifted_pis:
-        s = pi_i.sum()
-        if s == 0.0:
-            raise SurvivalUnderflow("a shifted initial vector is zero")
-        model_i = validate(lift.lifted_Q, pi_i / s)
-        analysis_i = analyze(model_i, spectra.rho_eq_tol, analysis.alpha_tol, family.pi_restricted)
-        res_i = limit_measure(model_i, analysis_i)
-        avg += res_i.state_measure_input
-        last_result = res_i
-    avg /= lift.N
-
-    states_nf = avg[list(form.perm)]
-    blocks = np.array([sum(states_nf[p] for p in r) for r in form.index_sets])
+    blocks = block_qed(form, spectra, family, report)
+    states = state_qed(form, spectra, family, report)
+    state_input = np.zeros_like(states)
+    state_input[list(form.perm)] = states
     return QuasiErgodicResult(
         block_measure=blocks,
-        state_measure=states_nf,
-        state_measure_input=avg,
+        state_measure=states,
+        state_measure_input=state_input,
         perm=form.perm,
-        rho_max=spectra.rho_max,
-        h_max=last_result.h_max,
-        report=last_result.report,
+        rho_max=family.rho_max_eff,
+        h_max=family.h_max,
+        report=report,
     )
 
 
@@ -334,4 +329,4 @@ def full_qed(
     restrict_to_pi_support: bool = True,
 ) -> QuasiErgodicResult:
     """End-to-end pipeline: `analyze`, then `limit_measure`."""
-    return limit_measure(model, analyze(model, rho_eq_tol, alpha_tol, restrict_to_pi_support))
+    return limit_measure(analyze(model, rho_eq_tol, alpha_tol, restrict_to_pi_support))

@@ -1,6 +1,6 @@
 """Block-triangular normal form of the transient transition matrix and the
-graph invariants of its diagonal blocks: periods, and the lift that removes
-periodicity.
+graph invariants it rests on: strongly connected components and block
+periods.
 
 The normal form orders the strongly connected components so that the permuted
 matrix is lower block triangular: block i can only reach blocks j <= i.  The
@@ -37,13 +37,6 @@ class FrobeniusForm:
     diag_blocks: Tuple[np.ndarray, ...]
     sub_blocks: Dict[Tuple[int, int], np.ndarray]
     permuted_Q: np.ndarray
-
-
-@dataclass(frozen=True)
-class PeriodicLift:
-    N: int
-    lifted_Q: np.ndarray
-    shifted_pis: Tuple[np.ndarray, ...]
 
 
 def _strongly_connected_components(adj: List[List[int]]) -> List[List[int]]:
@@ -170,25 +163,6 @@ def condense(model: SubstochasticModel) -> FrobeniusForm:
     )
 
 
-def _is_strongly_connected(B: np.ndarray) -> bool:
-    n = B.shape[0]
-    if n == 1:
-        return True
-
-    def reach(adj):
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in range(n):
-                if adj[v, w] != 0.0 and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == n
-
-    return reach(B) and reach(B.T)
-
-
 def block_period(block: np.ndarray) -> int:
     """Period of an irreducible block: gcd of (level(u) + 1 - level(v)) over
     all edges (u, v) of a BFS layering from vertex 0."""
@@ -210,21 +184,3 @@ def block_period(block: np.ndarray) -> int:
             if block[v, w] != 0.0:
                 g = math.gcd(g, level[v] + 1 - level[w])
     return g
-
-
-def aperiodic_lift(model: SubstochasticModel, form: FrobeniusForm) -> PeriodicLift:
-    """Lift to Q^N with N the lcm of the diagonal-block periods.
-
-    Returns Q^N together with the N shifted initial vectors pi Q^i
-    (unnormalized; downstream limits are invariant to positive scaling).
-    """
-    N = 1
-    for B in form.diag_blocks:
-        N = math.lcm(N, block_period(B))
-    lifted_Q = np.linalg.matrix_power(model.Q, N)
-    shifted = []
-    v = model.pi.copy()
-    for _ in range(N):
-        shifted.append(v.copy())
-        v = v @ model.Q
-    return PeriodicLift(N=N, lifted_Q=lifted_Q, shifted_pis=tuple(shifted))

@@ -1,10 +1,10 @@
-"""Normal form computation, block periods, periodic lift."""
+"""Normal form computation and block periods."""
 
 import numpy as np
 import pytest
 
 import qergodic as qg
-from qergodic.structure import aperiodic_lift, block_period, condense
+from qergodic.structure import block_period, condense
 
 from conftest import model_of, random_model
 
@@ -114,31 +114,3 @@ def test_period_one_iff_wielandt_power_positive():
         assert (block_period(B) == 1) == positive
         seen.add(positive)
     assert seen == {True, False}
-
-
-def test_aperiodic_lift_trivial_when_primitive():
-    m = model_of("triangle_full")
-    lift = aperiodic_lift(m, condense(m))
-    assert lift.N == 1
-    assert np.array_equal(lift.lifted_Q, m.Q)
-    assert np.array_equal(lift.shifted_pis[0], m.pi)
-
-
-def test_aperiodic_lift_splits_periodic_block():
-    m = model_of("periodic")
-    form = condense(m)
-    lift = aperiodic_lift(m, form)
-    assert lift.N == 2
-    assert np.allclose(lift.lifted_Q, m.Q @ m.Q)
-    assert np.allclose(lift.shifted_pis[1], m.pi @ m.Q)
-    # the lifted chain recondenses into primitive blocks only
-    m2 = qg.validate(lift.lifted_Q, m.pi)
-    form2 = condense(m2)
-    assert all(block_period(B) == 1 for B in form2.diag_blocks)
-
-
-def test_lift_preserves_pi_mass():
-    m = model_of("periodic")
-    lift = aperiodic_lift(m, condense(m))
-    for v in lift.shifted_pis:
-        assert np.all(v >= 0) and v.sum() > 0
