@@ -198,6 +198,7 @@ def _analyze(doc: ChainDocument, model: core.SubstochasticModel) -> limits.Analy
 
 def _analysis_payload(analysis: limits.Analysis) -> Dict:
     form, spectra, family, report = analysis.form, analysis.spectra, analysis.family, analysis.report
+    maximal = {p.theta for p in family.maximal}
     return {
         "schema": SCHEMA,
         "permutation": [p + 1 for p in form.perm],
@@ -223,7 +224,7 @@ def _analysis_payload(analysis: limits.Analysis) -> Dict:
                 "h_minus": p.h_minus,
                 "alpha": p.alpha,
                 "pi_mass": p.pi_mass,
-                "maximal": p in family.maximal,
+                "maximal": p.theta in maximal,
             }
             for p in family.all
         ],

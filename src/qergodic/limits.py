@@ -113,20 +113,22 @@ def check_assumptions(
     n mod g, which it does when the dominant paths do not all meet the same
     root-attaining blocks and the periods of one path's root-attaining
     blocks share a factor g > 1 (see `_phase_violation`)."""
-    violations: List[str] = []
-    relevant = family.all if not family.pi_restricted else tuple(p for p in family.all if p.pi_mass != 0.0)
-    scalar_ok = True
-    flagged = set()
-    for p in relevant:
-        for t in p.theta:
-            if not spectra.attains(t, family.rho_max_eff) and not spectra.blocks[t - 1].scalar:
-                if t not in flagged:
-                    flagged.add(t)
-                    violations.append(
-                        f"block {t} has root {spectra.rho(t):.6g} below the dominant root "
-                        f"but is not scalar (size {form.block_sizes[t - 1]})"
-                    )
-                scalar_ok = False
+    below_not_scalar = {
+        t for t, s in enumerate(spectra.blocks, start=1) if not s.scalar and not spectra.attains(t, family.rho_max_eff)
+    }
+    flagged: List[int] = []  # in order of first appearance on a relevant path
+    if below_not_scalar:
+        relevant = family.all if not family.pi_restricted else tuple(p for p in family.all if p.pi_mass != 0.0)
+        for p in relevant:
+            for t in p.theta:
+                if t in below_not_scalar and t not in flagged:
+                    flagged.append(t)
+    scalar_ok = not flagged
+    violations = [
+        f"block {t} has root {spectra.rho(t):.6g} below the dominant root "
+        f"but is not scalar (size {form.block_sizes[t - 1]})"
+        for t in flagged
+    ]
     alpha_values = {p.theta: p.alpha * p.pi_mass for p in family.maximal}
     max_weight = max((abs(w) for w in alpha_values.values()), default=0.0)
     witness = None

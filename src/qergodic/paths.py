@@ -84,19 +84,15 @@ def classify_path(
     eigenvector; since the eigenvector is strictly positive, pi_mass is zero
     exactly when the start block carries no initial mass.
     """
-    theta = tuple(int(t) for t in theta)
+    theta = tuple(map(int, theta))
     kappa = len(theta)
-    rho_theta = max(spectra.rho(t) for t in theta)
-    # classify positions against the path maximum under the equality policy
-    H_minus = tuple(
-        pos + 1 for pos, t in enumerate(theta) if not spectra.attains(t, rho_theta)
-    )
+    rho_theta, H_minus = spectra.path_roots(theta)
     h_minus = len(H_minus)
     h_plus = kappa - h_minus
     alpha = path_alpha(form, spectra, theta)
     start = theta[0]
-    pi_block = np.asarray(pi, dtype=float)[list(form.index_sets[start - 1])]
-    pi_mass = float(pi_block @ spectra.blocks[start - 1].v)
+    r = form.index_sets[start - 1]
+    pi_mass = float(np.asarray(pi, dtype=float)[r.start : r.stop] @ spectra.blocks[start - 1].v)
     return AdmissiblePath(
         theta=theta,
         kappa=kappa,

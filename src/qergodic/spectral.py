@@ -1,6 +1,11 @@
 """Per-block Perron data (root, left/right eigenvectors) and the path
 weights built from projection coefficients.
 
+`spectrum_set` computes each projection coefficient once per chain: the exit
+coefficient u . 1 of every block and the connector coefficient
+u_i . (C_ij v_j) of every off-diagonal block.  A path's weight is a product of
+these stored scalars.
+
 Normalization convention throughout: the right eigenvector v sums to 1 and
 the left eigenvector u satisfies u . v = 1.  With this convention the left
 eigenvector annihilates the complementary invariant subspace, so the
@@ -10,7 +15,7 @@ coefficient of v in any vector x is just u . x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +42,8 @@ class SpectrumSet:
     blocks: Tuple[BlockSpectrum, ...]
     rho_max: float
     rho_eq_tol: float
+    exit_coefficients: Tuple[float, ...]  # u_i . 1, by block index - 1
+    connector_coefficients: Dict[Tuple[int, int], float]  # u_i . (C_ij v_j), keyed like sub_blocks
 
     def rho(self, i: int) -> float:
         """Perron root of block i (1-based)."""
@@ -57,8 +64,18 @@ class SpectrumSet:
 
     def attains(self, i: int, value: float) -> bool:
         """Whether block i's root equals `value` under the equality policy."""
-        s = self.blocks[i - 1]
-        return abs(s.rho - value) <= self.rho_eq_tol * max(s.rho, value)
+        return self._ties(self.blocks[i - 1].rho, value)
+
+    def path_roots(self, theta: Sequence[int]) -> Tuple[float, Tuple[int, ...]]:
+        """The largest root along a block path, and the 1-based positions
+        whose root falls below it under the equality policy."""
+        roots = [self.blocks[t - 1].rho for t in theta]
+        top = max(roots)
+        ties = self._ties
+        return top, tuple([pos for pos, r in enumerate(roots, start=1) if r != top and not ties(r, top)])
+
+    def _ties(self, rho: float, value: float) -> bool:
+        return abs(rho - value) <= self.rho_eq_tol * max(rho, value)
 
 
 def _power_iteration(M: np.ndarray, tol: float, max_iter: int):
@@ -160,10 +177,19 @@ def _sub_modulus(block: np.ndarray, rho: float, v: np.ndarray, u: np.ndarray, st
 def spectrum_set(form: FrobeniusForm, rho_eq_tol: float = 1e-9) -> SpectrumSet:
     """Perron data for every diagonal block, with the rho-equality classes
     checked for transitivity (non-transitive near-ties are an error, not a
-    silent choice)."""
+    silent choice), and the projection coefficients that `path_alpha`
+    multiplies: u_i . 1 per block and u_i . (C_ij v_j) per connector."""
     blocks = tuple(perron_block(B) for B in form.diag_blocks)
     rho_max = max(s.rho for s in blocks)
-    ss = SpectrumSet(blocks=blocks, rho_max=rho_max, rho_eq_tol=rho_eq_tol)
+    ss = SpectrumSet(
+        blocks=blocks,
+        rho_max=rho_max,
+        rho_eq_tol=rho_eq_tol,
+        exit_coefficients=tuple(projection_coefficient(s, np.ones(len(s.v))) for s in blocks),
+        connector_coefficients={
+            (i, j): projection_coefficient(blocks[i - 1], C @ blocks[j - 1].v) for (i, j), C in form.sub_blocks.items()
+        },
+    )
     _check_transitive(ss)
     return ss
 
@@ -206,14 +232,12 @@ def path_alpha(form: FrobeniusForm, spectra: SpectrumSet, theta: Sequence[int]) 
 
     For the last block the coefficient is u . 1; for earlier blocks it is
     u . (Q_sub v_next), where Q_sub is the connecting off-diagonal block.
-    Scalar chains reduce to the product of the connecting entries.
+    Scalar chains reduce to the product of the connecting entries.  The
+    coefficients are read from `spectra`, where `spectrum_set` computed each
+    once, and multiplied from the last block backwards.
     """
-    theta = list(theta)
-    kappa = len(theta)
-    alpha = projection_coefficient(spectra.blocks[theta[-1] - 1], np.ones(form.block_sizes[theta[-1] - 1]))
-    for pos in range(kappa - 2, -1, -1):
-        i, j = theta[pos], theta[pos + 1]
-        Q_sub = form.sub_blocks[(i, j)]
-        v_next = spectra.blocks[j - 1].v
-        alpha *= projection_coefficient(spectra.blocks[i - 1], Q_sub @ v_next)
+    connectors = spectra.connector_coefficients
+    alpha = spectra.exit_coefficients[theta[-1] - 1]
+    for pos in range(len(theta) - 2, -1, -1):
+        alpha *= connectors[(theta[pos], theta[pos + 1])]
     return alpha

@@ -1,4 +1,7 @@
-"""Shared fixtures: the golden example chains and a random-model generator."""
+"""Shared fixtures: the golden example chains, a random-model generator and
+a call counter."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -63,3 +66,19 @@ def random_model(rng, d_max=6):
         Q[i] = row
     pi = rng.dirichlet(np.ones(d))
     return qg.validate(Q, pi)
+
+
+def count_calls(monkeypatch, fn):
+    """Count the calls of fn through every qergodic module binding."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "qergodic" or name.startswith("qergodic."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls

@@ -1,7 +1,9 @@
 """CLI contract: parsing, canonical JSON, exit codes, determinism."""
 
+import hashlib
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,11 @@ from qergodic import limits, paths
 from qergodic.cli import ChainDocument, emit_json, main, parse_document
 from qergodic.errors import NoConvergence, ParseError
 
-from conftest import CHAINS
+from conftest import CHAINS, count_calls
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import chains  # noqa: E402
 
 
 TWO_STATE = {"Q": [[0.3, 0.0], [0.5, 0.5]], "pi": [0.5, 0.5]}
@@ -179,25 +185,25 @@ def test_analyze_bytes_fixed_across_versions(name, doc_file, capsys):
     assert capsys.readouterr().out == expected
 
 
-def _count_calls(monkeypatch, fn):
-    """Count the calls of fn through every qergodic module binding."""
-    calls = []
+# SHA-256 of `paths --format json` stdout, recorded when each path weight
+# still took one matrix-vector product per step; 8,916 paths between them,
+# each with its alpha, pi_mass and rho
+PATHS_SHA256 = {
+    0: "1a6aa8f18c0a9fb2520889624d299164c3d4115fa6a08f6483f20f8547e4bfe2",
+    29: "0f9ff5fe58cfff6cf47224f0c279f842a7e9276cd9fa725f8a86ccc3235e6b8f",
+}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fn(*args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if name == "qergodic" or name.startswith("qergodic."):
-            for attr, value in list(vars(mod).items()):
-                if value is fn:
-                    monkeypatch.setattr(mod, attr, counted)
-    return calls
+@pytest.mark.parametrize("index", sorted(PATHS_SHA256))
+def test_paths_bytes_fixed_on_dag_chains(index, doc_file, capsys):
+    c = chains.dag_chain(7, index)
+    assert main(["paths", doc_file({"Q": c.Q.tolist(), "pi": c.pi.tolist()}), "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PATHS_SHA256[index]
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 def test_command_analyzes_the_chain_once(command, doc_file, capsys, monkeypatch):
-    calls = _count_calls(monkeypatch, paths.enumerate_paths)
+    calls = count_calls(monkeypatch, paths.enumerate_paths)
     assert main([command, doc_file(TWO_STATE), "--format", "json", "--n-max", "200"]) == 0
     assert len(calls) == 1
 

@@ -1,12 +1,16 @@
 """Per-block Perron data, projection coefficients, and path weights."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qergodic as qg
+from qergodic import limits, spectral
 from qergodic.errors import AmbiguousRhoClasses
+from qergodic.paths import enumerate_paths
 from qergodic.spectral import (
     SpectrumSet,
     path_alpha,
@@ -17,7 +21,11 @@ from qergodic.spectral import (
 )
 from qergodic.structure import condense
 
-from conftest import model_of, random_model
+from conftest import count_calls, model_of, random_model
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import chains  # noqa: E402
 
 S2 = math.sqrt(2.0)
 
@@ -102,6 +110,39 @@ def test_path_alpha_nonnegative_and_singleton():
     assert a > 0
     # u2 = (1,1), v1 = (1), connector carries 0.05 into the first block row
     assert abs(a - 0.05) <= 1e-10
+
+
+def _path_alpha_oracle(form, spectra, theta):
+    """alpha with a fresh matrix-vector product per step, in path_alpha's
+    order: u . 1 at the last block, then each connector from the end back."""
+    last = theta[-1]
+    alpha = projection_coefficient(spectra.blocks[last - 1], np.ones(form.block_sizes[last - 1]))
+    for pos in range(len(theta) - 2, -1, -1):
+        i, j = theta[pos], theta[pos + 1]
+        alpha *= projection_coefficient(spectra.blocks[i - 1], form.sub_blocks[(i, j)] @ spectra.blocks[j - 1].v)
+    return alpha
+
+
+def test_path_alpha_bitwise_equal_to_matrix_vector_oracle():
+    rng = np.random.default_rng(17)
+    models = [random_model(rng) for _ in range(120)]
+    models += [qg.validate(c.Q, c.pi) for c in (chains.dag_chain(7, i) for i in range(5))]
+    checked = 0
+    for m in models:
+        form = condense(m)
+        spectra = spectrum_set(form)
+        for theta in enumerate_paths(form):
+            assert path_alpha(form, spectra, theta) == _path_alpha_oracle(form, spectra, theta)
+            checked += 1
+    assert checked > 5000
+
+
+def test_each_coefficient_projected_once_per_chain(monkeypatch):
+    c = chains.dag_chain(7, 0)
+    m = qg.validate(c.Q, c.pi)
+    calls = count_calls(monkeypatch, spectral.projection_coefficient)
+    form = limits.analyze(m).form
+    assert len(calls) == form.k + len(form.sub_blocks)
 
 
 def test_full_matrix_rho_equals_block_max():
