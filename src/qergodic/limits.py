@@ -30,7 +30,7 @@ from .errors import AssumptionViolation, NotIrreducible, NotScalarChain, NotSing
 from .model import SubstochasticModel
 from .paths import AdmissiblePath, PathFamily, classify_path, enumerate_paths, maximal_paths
 from .spectral import SpectrumSet, perron_block, spectrum_set, _power_iteration
-from .structure import FrobeniusForm, _strongly_connected_components, condense
+from .structure import FrobeniusForm, _strongly_connected_components, _successor_lists, condense
 
 ALPHA_TOL = 1e-12
 RHO_EQ_TOL = 1e-9
@@ -80,7 +80,7 @@ def irreducible_qed(Q) -> np.ndarray:
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise NotIrreducible("expected a square matrix")
-    if len(_strongly_connected_components([np.flatnonzero(row).tolist() for row in Q])) != 1:
+    if len(_strongly_connected_components(_successor_lists(Q)[0])) != 1:
         raise NotIrreducible("matrix is not irreducible")
     s = perron_block(Q)
     return s.u * s.v
@@ -105,7 +105,9 @@ def check_assumptions(
 ) -> AssumptionReport:
     """Certify applicability of the closed-form limit.
 
-    Three requirements: every block whose root falls below the dominant root
+    Four requirements: the dominant root must be positive (at root 0 the
+    chain is absorbed within finitely many steps, so no conditioned limit
+    exists); every block whose root falls below the dominant root
     and which lies on a path that carries initial mass must be scalar; some
     dominant path must have a nonzero combined weight alpha * pi_mass
     (decided relative to the largest such weight, to avoid certifying an
@@ -124,7 +126,12 @@ def check_assumptions(
                 if t in below_not_scalar and t not in flagged:
                     flagged.append(t)
     scalar_ok = not flagged
-    violations = [
+    violations = []
+    if family.rho_max_eff == 0.0:
+        violations.append(
+            "the dominant root is 0: the chain is absorbed within finitely many steps, so no conditioned limit exists"
+        )
+    violations += [
         f"block {t} has root {spectra.rho(t):.6g} below the dominant root "
         f"but is not scalar (size {form.block_sizes[t - 1]})"
         for t in flagged

@@ -122,11 +122,7 @@ def maximal_paths(
     if not admitted:
         raise EmptyFamily("no admissible path carries initial mass")
     rho_max_eff = max(p.rho_theta for p in admitted)
-
-    def at_max(p: AdmissiblePath) -> bool:
-        return _rho_close(spectra, p.rho_theta, rho_max_eff)
-
-    top = [p for p in admitted if at_max(p)]
+    top = [p for p in admitted if spectra.ties(p.rho_theta, rho_max_eff)]
     h_max = max(p.h_plus for p in top)
     maximal = tuple(p for p in top if p.h_plus == h_max)
     per_block: Dict[int, Tuple[AdmissiblePath, ...]] = {}
@@ -141,12 +137,6 @@ def maximal_paths(
         pi_restricted=restrict_to_pi_support,
         k=len(spectra.blocks),
     )
-
-
-def _rho_close(spectra: SpectrumSet, a: float, b: float) -> bool:
-    if a == b:
-        return True
-    return abs(a - b) <= spectra.rho_eq_tol * max(a, b)
 
 
 def split_at(theta: Sequence[int], ell: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

@@ -64,17 +64,19 @@ class SpectrumSet:
 
     def attains(self, i: int, value: float) -> bool:
         """Whether block i's root equals `value` under the equality policy."""
-        return self._ties(self.blocks[i - 1].rho, value)
+        return self.ties(self.blocks[i - 1].rho, value)
 
     def path_roots(self, theta: Sequence[int]) -> Tuple[float, Tuple[int, ...]]:
         """The largest root along a block path, and the 1-based positions
         whose root falls below it under the equality policy."""
         roots = [self.blocks[t - 1].rho for t in theta]
         top = max(roots)
-        ties = self._ties
+        ties = self.ties
         return top, tuple([pos for pos, r in enumerate(roots, start=1) if r != top and not ties(r, top)])
 
-    def _ties(self, rho: float, value: float) -> bool:
+    def ties(self, rho: float, value: float) -> bool:
+        """Whether two roots are equal under the equality policy: within
+        the relative tolerance rho_eq_tol."""
         return abs(rho - value) <= self.rho_eq_tol * max(rho, value)
 
 
@@ -82,19 +84,20 @@ def _power_iteration(M: np.ndarray, tol: float, max_iter: int):
     """Leading eigenpair of a nonnegative matrix by power iteration.
 
     Returns (lam, x) with x >= 0 normalized to sum 1 and residual
-    ||Mx - lam x||_inf <= tol * max(lam, 1).
+    ||Mx - lam x||_inf <= tol * max(lam, 1).  The product of the residual
+    test is the next step's product, so s steps take s + 1 products.
     """
     n = M.shape[0]
     x = np.full(n, 1.0 / n)
-    lam = 0.0
+    Mx = M @ x
     for _ in range(max_iter):
-        y = M @ x
-        s = y.sum()
+        s = Mx.sum()
         if s == 0.0:
             return 0.0, x
-        y = y / s
+        y = Mx / s
         lam = s
-        if np.max(np.abs(M @ y - lam * y)) <= tol * max(lam, 1.0):
+        Mx = M @ y
+        if np.max(np.abs(Mx - lam * y)) <= tol * max(lam, 1.0):
             return lam, y
         x = y
     raise NoConvergence(f"power iteration did not reach tol {tol} in {max_iter} steps")

@@ -12,7 +12,7 @@ input order.
 
 from __future__ import annotations
 
-import math
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -87,6 +87,15 @@ def _strongly_connected_components(adj: List[List[int]]) -> List[List[int]]:
     return comps
 
 
+def _successor_lists(Q: np.ndarray) -> Tuple[List[List[int]], np.ndarray, np.ndarray]:
+    """The digraph of Q: the successors of each state in increasing order,
+    and the (rows, cols) of its exactly nonzero entries in row-major order."""
+    rows, cols = np.nonzero(Q)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=Q.shape[0])))).tolist()
+    flat = cols.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])], rows, cols
+
+
 def condense(model: SubstochasticModel) -> FrobeniusForm:
     """Compute the canonical lower block-triangular form of model.Q.
 
@@ -96,41 +105,35 @@ def condense(model: SubstochasticModel) -> FrobeniusForm:
     """
     Q = model.Q
     d = model.d
-    adj = [[j for j in range(d) if Q[i, j] != 0.0] for i in range(d)]
+    adj, rows, cols = _successor_lists(Q)
     comps = _strongly_connected_components(adj)
     k = len(comps)
-    comp_of = [0] * d
+    comp_of = np.empty(d, dtype=np.intp)
     for c, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = c
+        comp_of[comp] = c
 
     # condensation edges c -> c' when some state of c points into c'
-    succ = [set() for _ in range(k)]
-    for i in range(d):
-        for j in adj[i]:
-            if comp_of[i] != comp_of[j]:
-                succ[comp_of[i]].add(comp_of[j])
+    src, dst = comp_of[rows], comp_of[cols]
+    cross = src != dst
+    edges = [divmod(e, k) for e in set((src[cross] * k + dst[cross]).tolist())]
+    unplaced_succ = [0] * k
+    pred: List[List[int]] = [[] for _ in range(k)]
+    for c, c2 in edges:
+        unplaced_succ[c] += 1
+        pred[c2].append(c)
 
     # canonical order: place a block once everything it points to is placed,
     # tie-broken by smallest original state index
-    unplaced_succ = [len(s) for s in succ]
-    pred = [set() for _ in range(k)]
-    for c in range(k):
-        for c2 in succ[c]:
-            pred[c2].add(c)
-    ready = sorted((c for c in range(k) if unplaced_succ[c] == 0), key=lambda c: comps[c][0])
+    ready = [(comps[c][0], c) for c in range(k) if unplaced_succ[c] == 0]
+    heapq.heapify(ready)
     order: List[int] = []
     while ready:
-        c = ready.pop(0)
+        _, c = heapq.heappop(ready)
         order.append(c)
-        changed = False
         for p in pred[c]:
             unplaced_succ[p] -= 1
             if unplaced_succ[p] == 0:
-                ready.append(p)
-                changed = True
-        if changed:
-            ready.sort(key=lambda c2: comps[c2][0])
+                heapq.heappush(ready, (comps[p][0], p))
 
     perm: List[int] = []
     block_sizes: List[int] = []
@@ -145,12 +148,15 @@ def condense(model: SubstochasticModel) -> FrobeniusForm:
         index_sets.append(range(start, start + size))
         start += size
     diag_blocks = tuple(permuted_Q[np.ix_(r, r)] for r in index_sets)
-    sub_blocks: Dict[Tuple[int, int], np.ndarray] = {}
-    for i in range(k):
-        for j in range(i):
-            blk = permuted_Q[np.ix_(index_sets[i], index_sets[j])]
-            if np.any(blk != 0.0):
-                sub_blocks[(i + 1, j + 1)] = blk
+    # block (i, j) in normal-form numbering for every condensation edge,
+    # in sorted key order
+    position = [0] * k
+    for i, c in enumerate(order, start=1):
+        position[c] = i
+    keys = sorted((position[c], position[c2]) for c, c2 in edges)
+    sub_blocks: Dict[Tuple[int, int], np.ndarray] = {
+        (i, j): permuted_Q[np.ix_(index_sets[i - 1], index_sets[j - 1])] for i, j in keys
+    }
 
     return FrobeniusForm(
         perm=tuple(perm),
@@ -169,18 +175,14 @@ def block_period(block: np.ndarray) -> int:
     n = block.shape[0]
     if n == 1:
         return 1
-    level = [-1] * n
+    A = block != 0.0
+    level = np.full(n, -1)
     level[0] = 0
-    queue = [0]
-    while queue:
-        v = queue.pop(0)
-        for w in range(n):
-            if block[v, w] != 0.0 and level[w] == -1:
-                level[w] = level[v] + 1
-                queue.append(w)
-    g = 0
-    for v in range(n):
-        for w in range(n):
-            if block[v, w] != 0.0:
-                g = math.gcd(g, level[v] + 1 - level[w])
-    return g
+    frontier = level == 0
+    depth = 0
+    while frontier.any():
+        depth += 1
+        frontier = A[frontier].any(axis=0) & (level == -1)
+        level[frontier] = depth
+    rows, cols = np.nonzero(A)
+    return int(np.gcd.reduce(level[rows] + 1 - level[cols]))

@@ -1,6 +1,7 @@
 """Closed-form limit measures: golden values, dual evaluation routes, the
 assumption report, and the end-to-end pipeline."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import qergodic as qg
 from qergodic import limits
+from qergodic.cli import main
 from qergodic.errors import AssumptionViolation, NotIrreducible, NotScalarChain, NotSinglePath
 from qergodic.paths import classify_path, maximal_paths
 from qergodic.structure import condense
@@ -212,6 +214,17 @@ def test_full_qed_periodic_averaging():
 def test_full_qed_uncertified_raises():
     with pytest.raises(AssumptionViolation):
         qg.full_qed(model_of("uncertified"))
+
+
+def test_nilpotent_chain_not_certified(tmp_path):
+    # P(T > n) = 0 for n >= 2: the conditioned occupation has no limit
+    Q, pi = [[0.0, 0.0], [0.74, 0.0]], [0.479, 0.521]
+    with pytest.raises(AssumptionViolation) as exc:
+        qg.full_qed(qg.validate(Q, pi))
+    assert exc.value.report.violations[0].startswith("the dominant root is 0")
+    doc = tmp_path / "nilpotent.json"
+    doc.write_text(json.dumps({"Q": Q, "pi": pi}))
+    assert main(["qed", str(doc), "--format", "json"]) != 0
 
 
 def test_observable_limit():

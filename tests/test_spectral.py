@@ -9,7 +9,7 @@ import pytest
 
 import qergodic as qg
 from qergodic import limits, spectral
-from qergodic.errors import AmbiguousRhoClasses
+from qergodic.errors import AmbiguousRhoClasses, NoConvergence
 from qergodic.paths import enumerate_paths
 from qergodic.spectral import (
     SpectrumSet,
@@ -143,6 +143,51 @@ def test_each_coefficient_projected_once_per_chain(monkeypatch):
     calls = count_calls(monkeypatch, spectral.projection_coefficient)
     form = limits.analyze(m).form
     assert len(calls) == form.k + len(form.sub_blocks)
+
+
+class _CountingMatrix:
+    """A matrix that counts its products with a vector."""
+
+    def __init__(self, M):
+        self.M = M
+        self.shape = M.shape
+        self.products = 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.M @ x
+
+
+def test_power_iteration_takes_one_product_per_step():
+    M = np.array([[0.5, 0.3, 0.1], [0.2, 0.1, 0.3], [0.1, 0.2, 0.6]])
+    want = _power_iteration(M, tol=1e-13, max_iter=10**4)
+    # s: the fewest steps that converge; s - 1 steps raise
+    s = next(n for n in range(1, 10**4) if _converges(M, n))
+    assert s > 5
+    counted = _CountingMatrix(M)
+    lam, x = _power_iteration(counted, tol=1e-13, max_iter=s)
+    assert counted.products == s + 1
+    assert lam == want[0] and np.array_equal(x, want[1])
+    counted = _CountingMatrix(M)
+    with pytest.raises(NoConvergence):
+        _power_iteration(counted, tol=1e-13, max_iter=s - 1)
+    assert counted.products == s
+
+
+def _converges(M, max_iter):
+    try:
+        _power_iteration(M, tol=1e-13, max_iter=max_iter)
+    except NoConvergence:
+        return False
+    return True
+
+
+def test_power_iteration_returns_previous_iterate_at_zero_sum():
+    # step 1 maps the uniform start to (0, 1); step 2 maps that to 0
+    counted = _CountingMatrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    lam, x = _power_iteration(counted, tol=1e-13, max_iter=10)
+    assert lam == 0.0 and np.array_equal(x, [0.0, 1.0])
+    assert counted.products == 2
 
 
 def test_full_matrix_rho_equals_block_max():

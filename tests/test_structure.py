@@ -1,12 +1,15 @@
 """Normal form computation and block periods."""
 
+import math
+import pickle
+
 import numpy as np
 import pytest
 
 import qergodic as qg
-from qergodic.structure import block_period, condense
+from qergodic.structure import FrobeniusForm, _strongly_connected_components, block_period, condense
 
-from conftest import model_of, random_model
+from conftest import CHAINS, model_of, random_model
 
 
 def test_condense_triangular_input_is_identity():
@@ -114,3 +117,136 @@ def test_period_one_iff_wielandt_power_positive():
         assert (block_period(B) == 1) == positive
         seen.add(positive)
     assert seen == {True, False}
+
+
+def _condense_oracle(model):
+    """The normal form by plain loops: adjacency by a d^2 scan, the canonical
+    order by re-sorting the ready list, off-diagonal blocks by a k^2 scan."""
+    Q = model.Q
+    d = model.d
+    adj = [[j for j in range(d) if Q[i, j] != 0.0] for i in range(d)]
+    comps = _strongly_connected_components(adj)
+    k = len(comps)
+    comp_of = [0] * d
+    for c, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = c
+    succ = [set() for _ in range(k)]
+    for i in range(d):
+        for j in adj[i]:
+            if comp_of[i] != comp_of[j]:
+                succ[comp_of[i]].add(comp_of[j])
+    unplaced_succ = [len(s) for s in succ]
+    pred = [set() for _ in range(k)]
+    for c in range(k):
+        for c2 in succ[c]:
+            pred[c2].add(c)
+    ready = sorted((c for c in range(k) if unplaced_succ[c] == 0), key=lambda c: comps[c][0])
+    order = []
+    while ready:
+        c = ready.pop(0)
+        order.append(c)
+        changed = False
+        for p in pred[c]:
+            unplaced_succ[p] -= 1
+            if unplaced_succ[p] == 0:
+                ready.append(p)
+                changed = True
+        if changed:
+            ready.sort(key=lambda c2: comps[c2][0])
+    perm = [v for c in order for v in comps[c]]
+    block_sizes = [len(comps[c]) for c in order]
+    permuted_Q = Q[np.ix_(perm, perm)]
+    index_sets = []
+    start = 0
+    for size in block_sizes:
+        index_sets.append(range(start, start + size))
+        start += size
+    sub_blocks = {}
+    for i in range(k):
+        for j in range(i):
+            blk = permuted_Q[np.ix_(index_sets[i], index_sets[j])]
+            if np.any(blk != 0.0):
+                sub_blocks[(i + 1, j + 1)] = blk
+    return FrobeniusForm(
+        perm=tuple(perm),
+        k=k,
+        block_sizes=tuple(block_sizes),
+        index_sets=tuple(index_sets),
+        diag_blocks=tuple(permuted_Q[np.ix_(r, r)] for r in index_sets),
+        sub_blocks=sub_blocks,
+        permuted_Q=permuted_Q,
+    )
+
+
+def _block_period_oracle(block):
+    """Period by a queue BFS from vertex 0 and a gcd over an n^2 entry scan."""
+    n = block.shape[0]
+    if n == 1:
+        return 1
+    level = [-1] * n
+    level[0] = 0
+    queue = [0]
+    while queue:
+        v = queue.pop(0)
+        for w in range(n):
+            if block[v, w] != 0.0 and level[w] == -1:
+                level[w] = level[v] + 1
+                queue.append(w)
+    g = 0
+    for v in range(n):
+        for w in range(n):
+            if block[v, w] != 0.0:
+                g = math.gcd(g, level[v] + 1 - level[w])
+    return g
+
+
+def _form_fields(form):
+    """Every field of a FrobeniusForm, with the sub_blocks keys in order."""
+    return (
+        form.perm,
+        form.k,
+        form.block_sizes,
+        form.index_sets,
+        form.diag_blocks,
+        list(form.sub_blocks.items()),
+        form.permuted_Q,
+    )
+
+
+def _scalar_dag(rng, k, in_edges=3):
+    """k scalar blocks in shuffled order; each block after the first few
+    receives in_edges connectors from blocks drawn before it."""
+    Q = np.diag(rng.uniform(0.1, 0.5, k))
+    for i in range(1, k):
+        for j in rng.choice(i, size=min(i, in_edges), replace=False):
+            Q[i, j] = rng.uniform(0.01, 0.1)
+    sigma = rng.permutation(k)
+    return qg.validate(Q[np.ix_(sigma, sigma)], rng.dirichlet(np.ones(k)))
+
+
+def _oracle_models():
+    rng = np.random.default_rng(31)
+    models = [model_of(name) for name in CHAINS]
+    models += [random_model(rng, d_max=10) for _ in range(200)]
+    models.append(_scalar_dag(rng, 200))
+    return models
+
+
+def test_condense_bytes_equal_to_loop_oracle():
+    for m in _oracle_models():
+        form = condense(m)
+        assert pickle.dumps(_form_fields(form)) == pickle.dumps(_form_fields(_condense_oracle(m)))
+        # each block is its own array, not a view of permuted_Q
+        assert not any(np.shares_memory(B, form.permuted_Q) for B in form.diag_blocks + tuple(form.sub_blocks.values()))
+    assert form.k == 200 and len(form.sub_blocks) == 3 * 200 - 6
+
+
+def test_block_period_equal_to_loop_oracle():
+    periods = []
+    for m in _oracle_models():
+        for B in condense(m).diag_blocks:
+            h = block_period(B)
+            assert type(h) is int and h == _block_period_oracle(B)
+            periods.append(h)
+    assert max(periods) > 1
