@@ -63,10 +63,6 @@ class AmbiguousRhoClasses(NumericalError):
     """Perron-root equality classes are not transitive at the given tolerance."""
 
 
-class GammaOverflow(NumericalError):
-    """A composition count exceeds the machine integer range."""
-
-
 # --- structure / paths --------------------------------------------------
 
 
@@ -78,24 +74,12 @@ class NotIrreducible(StructureError):
     pass
 
 
-class BlockNotOnPath(StructureError):
-    pass
-
-
 class PathExplosion(StructureError):
     """The admissible-path set exceeds the configured cap."""
 
 
 class EmptyFamily(StructureError):
     """No admissible path carries initial mass (defensive; unreachable for valid pi)."""
-
-
-class NotScalarChain(StructureError):
-    pass
-
-
-class NotSinglePath(StructureError):
-    pass
 
 
 class AssumptionViolation(QergodicError):

@@ -1,6 +1,5 @@
-"""Closed-form conditioned limits: the irreducible case, the block-level and
-state-level formulas for reducible chains, and the scalar-chain and
-single-path shortcuts.
+"""Closed-form conditioned limits: the irreducible case and the block-level
+and state-level formulas for reducible chains.
 
 The pipeline is `analyze` (normal form, block spectra, dominant path family,
 assumption report) followed by `limit_measure` (the limit measures);
@@ -22,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import AssumptionViolation, NotIrreducible, NotScalarChain, NotSinglePath
+from .errors import AssumptionViolation, NotIrreducible
 from .model import SubstochasticModel
 from .paths import AdmissiblePath, PathFamily, classify_path, enumerate_paths, maximal_paths
 from .spectral import SpectrumSet, perron_block, spectrum_set, _power_iteration
@@ -40,7 +39,6 @@ RHO_EQ_TOL = 1e-9
 class AssumptionReport:
     scalar_ok: bool
     witness_path: Optional[AdmissiblePath]
-    alpha_values: Dict[Tuple[int, ...], float]
     violations: Tuple[str, ...]
     used_pi_restriction: bool
 
@@ -152,7 +150,6 @@ def check_assumptions(
     return AssumptionReport(
         scalar_ok=scalar_ok,
         witness_path=witness,
-        alpha_values=alpha_values,
         violations=tuple(violations),
         used_pi_restriction=family.pi_restricted,
     )
@@ -233,60 +230,6 @@ def state_qed(
         s = spectra.blocks[ell - 1]
         for t, p in enumerate(form.index_sets[ell - 1]):
             out[p] = s.u[t] * s.v[t] * blocks[ell - 1]
-    return out
-
-
-def scalar_case_qed(
-    form: FrobeniusForm,
-    spectra: SpectrumSet,
-    family: PathFamily,
-    pi_nf: np.ndarray,
-) -> np.ndarray:
-    """Independent evaluation for chains whose blocks are all 1x1.
-
-    Weights are rebuilt from raw matrix entries: the path weight is the
-    initial mass of the start state times the product of connecting entries,
-    with below-maximum diagonal entries contributing 1/(rho_max - q_uu).
-    No eigenvector machinery is involved; must agree with block_qed.
-    """
-    if any(size != 1 for size in form.block_sizes):
-        raise NotScalarChain("scalar evaluation requires all blocks of size 1")
-    Q = form.permuted_Q
-    pi_nf = np.asarray(pi_nf, dtype=float)
-    rho_max = family.rho_max_eff
-
-    def raw_weight(theta: Tuple[int, ...]) -> float:
-        w = pi_nf[theta[0] - 1]
-        for a, b in zip(theta, theta[1:]):
-            w *= Q[a - 1, b - 1]
-        for t in theta:
-            q = Q[t - 1, t - 1]
-            if q != rho_max:  # scalar blocks compare exactly
-                w /= rho_max - q
-        return w
-
-    weights = {p.theta: raw_weight(p.theta) for p in family.maximal}
-    denom = family.h_max * sum(weights.values())
-    out = np.zeros(form.k)
-    for ell in range(1, form.k + 1):
-        if Q[ell - 1, ell - 1] != rho_max:
-            continue
-        group = family.per_block[ell]
-        if group:
-            out[ell - 1] = sum(weights[p.theta] for p in group) / denom
-    return out
-
-
-def single_path_qed(family: PathFamily, spectra: SpectrumSet) -> np.ndarray:
-    """Shortcut when exactly one dominant path exists: mass 1/h_max on each
-    of its root-attaining blocks."""
-    if len(family.maximal) != 1:
-        raise NotSinglePath(f"expected one dominant path, found {len(family.maximal)}")
-    p = family.maximal[0]
-    out = np.zeros(family.k)
-    for pos, t in enumerate(p.theta, start=1):
-        if pos not in p.H_minus:
-            out[t - 1] = 1.0 / family.h_max
     return out
 
 

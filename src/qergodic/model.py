@@ -1,5 +1,5 @@
 """Validated absorbing-chain model, exact finite-horizon conditioned occupation
-formulas, and trajectory simulation.
+formulas and their extrapolated limit, and trajectory simulation.
 
 The chain lives on transient states {1, ..., d} with substochastic transition
 matrix Q; the absorption probability of state i is the row leakage
@@ -246,6 +246,65 @@ def finite_horizon_observable(model: SubstochasticModel, f: Sequence[float], n: 
         raise ShapeMismatch(f"observable has length {f.shape[0]}, expected {model.d}")
     profile = occupation_profile(model, n)
     return float(f @ profile)
+
+
+# Horizons 2^16 ... 2^19 of the extrapolated profile: its error terms shrink
+# like 1/m^3 while rounding grows like m * 1e-16.  It holds d^3 floats.
+_EXTRAPOLATION_LEVELS = range(16, 20)
+EXTRAPOLATION_MAX_STATES = 100
+
+
+def extrapolated_occupation(model: SubstochasticModel, period: int):
+    """Limit of the conditioned occupation profile, and an estimate of its
+    own error.
+
+    With P_m = Q^m and C_m[j] = sum_{r<m} Q^r e_j e_j' Q^(m-1-r), pi C_m[j] 1
+    is the unnormalized occupation of state j over horizon m - 1.  Doubling,
+    C_2m = C_m P_m + P_m C_m, reaches m = 2^16 ... 2^19, with each tensor
+    rescaled to max 1 beside its log scale.  Each profile is averaged over
+    `period` horizons by C_(m+1)[j] = C_m[j] Q + P_m e_j e_j', and two
+    Richardson rounds cancel its 1/m and 1/m^2 terms.  Only the states pi
+    reaches take part, so that no root pi misses scales the profile away.
+    Returns the extrapolation from the three largest horizons (input state
+    order) and its largest difference to the one from the three smaller.
+    """
+    live = model.pi > 0
+    for _ in range(model.d):
+        live = live | (live @ (model.Q > 0))
+    Q, pi, d = model.Q[np.ix_(live, live)], model.pi[live], int(live.sum())
+    diag = np.arange(d)
+    C = np.zeros((d, d, d))
+    C[diag, diag, diag] = 1.0
+    P, lc, lp = Q, 0.0, 0.0  # each tensor is its true value times exp(its log scale)
+
+    def rescaled(M, log_scale):
+        s = M.max()
+        return M / s, log_scale - math.log(s)
+
+    def profile(C):
+        num = C.sum(axis=2) @ pi
+        return num / num.sum()
+
+    means = []
+    for level in range(_EXTRAPOLATION_LEVELS.stop):
+        if level:
+            C, lc = rescaled(C @ P + P @ C, lc + lp)
+            P, lp = rescaled(P @ P, 2 * lp)
+        if level not in _EXTRAPOLATION_LEVELS:
+            continue
+        acc, Cr, lcr, Pr, lpr = profile(C), C, lc, P, lp
+        for _ in range(period - 1):
+            Cr = Cr @ Q
+            Cr[diag, :, diag] += math.exp(lcr - lpr) * Pr.T
+            Cr, lcr = rescaled(Cr, lcr)
+            Pr, lpr = rescaled(Pr @ Q, lpr)
+            acc += profile(Cr)
+        means.append(acc / period)
+    r1 = [2 * b - a for a, b in zip(means, means[1:])]
+    r2 = [(4 * b - a) / 3 for a, b in zip(r1, r1[1:])]
+    out = np.zeros(model.d)
+    out[live] = r2[1]
+    return out, float(np.max(np.abs(r2[1] - r2[0])))
 
 
 # --- simulation ---------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Admissible block paths, their classification, the maximal family, and the
-composition combinatorics used by the brute-force oracles.
+"""Admissible block paths, their classification, and the maximal family.
 
 An admissible path is a strictly decreasing sequence of block indices in
 which each consecutive pair is connected by a structurally nonzero
@@ -10,18 +9,16 @@ determine the closed-form limits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BlockNotOnPath, EmptyFamily, GammaOverflow, PathExplosion
+from .errors import EmptyFamily, PathExplosion
 from .spectral import SpectrumSet, path_alpha
 from .structure import FrobeniusForm
 
 PATH_CAP = 10**6
-_MAX_COUNT = 2**62
 
 
 @dataclass(frozen=True)
@@ -137,46 +134,3 @@ def maximal_paths(
         pi_restricted=restrict_to_pi_support,
         k=len(spectra.blocks),
     )
-
-
-def split_at(theta: Sequence[int], ell: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Split a path at block ell into the part down to ell and the part from
-    ell on; the two halves share the split block, so their lengths sum to
-    kappa + 1."""
-    theta = tuple(int(t) for t in theta)
-    if ell not in theta:
-        raise BlockNotOnPath(f"block {ell} does not appear on path {theta}")
-    pos = theta.index(ell)
-    return theta[: pos + 1], theta[pos:]
-
-
-def gamma_count(kappa: int, m: int) -> int:
-    """Number of nonnegative kappa-tuples summing to m: C(kappa + m - 1, m)."""
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
-    if m < 0:
-        return 0
-    c = math.comb(kappa + m - 1, m)
-    if c > _MAX_COUNT:
-        raise GammaOverflow(f"composition count {c} exceeds the supported range")
-    return c
-
-
-def gamma_enumerate(kappa: int, m: int) -> List[Tuple[int, ...]]:
-    """All nonnegative kappa-tuples summing to m, in lexicographic order."""
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
-    if m < 0:
-        return []
-    gamma_count(kappa, m)  # overflow guard before materializing
-    out: List[Tuple[int, ...]] = []
-
-    def rec(prefix: Tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for first in range(remaining + 1):
-            rec(prefix + (first,), remaining - first, slots - 1)
-
-    rec((), m, kappa)
-    return out

@@ -49,19 +49,6 @@ class SpectrumSet:
         """Perron root of block i (1-based)."""
         return self.blocks[i - 1].rho
 
-    def rho_equal(self, i: int, j: int) -> bool:
-        """Whether blocks i and j (1-based) share their Perron root.
-
-        Scalar blocks compare their literal entries exactly; otherwise a
-        relative tolerance rho_eq_tol is used, since the attained-maximum
-        classification is discontinuous in rho.
-        """
-        a, b = self.blocks[i - 1], self.blocks[j - 1]
-        if a.scalar and b.scalar:
-            return a.rho == b.rho
-        m = max(a.rho, b.rho)
-        return abs(a.rho - b.rho) <= self.rho_eq_tol * m
-
     def attains(self, i: int, value: float) -> bool:
         """Whether block i's root equals `value` under the equality policy."""
         return self.ties(self.blocks[i - 1].rho, value)
@@ -198,27 +185,24 @@ def spectrum_set(form: FrobeniusForm, rho_eq_tol: float = 1e-9) -> SpectrumSet:
 
 
 def _check_transitive(ss: SpectrumSet) -> None:
-    k = len(ss.blocks)
-    # connected components of the pairwise-equality graph must be cliques
-    parent = list(range(k))
+    """Every class of roots chained together by ties must be a clique.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if ss.rho_equal(i + 1, j + 1):
-                parent[find(i)] = find(j)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if find(i) == find(j) and not ss.rho_equal(i + 1, j + 1):
-                raise AmbiguousRhoClasses(
-                    f"blocks {i + 1} and {j + 1} are chained together by near-ties "
-                    f"but differ by more than rho_eq_tol={ss.rho_eq_tol}"
-                )
+    On roots sorted increasingly, a <= b <= c with a tied to c implies that
+    a ties b and b ties c.  So the classes are the maximal runs of adjacent
+    ties, and a run is a clique exactly when its two ends tie."""
+    order = sorted(range(len(ss.blocks)), key=lambda i: ss.blocks[i].rho)
+    roots = [ss.blocks[i].rho for i in order]
+    start = 0
+    for end in range(1, len(order) + 1):
+        if end < len(order) and ss.ties(roots[end - 1], roots[end]):
+            continue
+        if not ss.ties(roots[start], roots[end - 1]):
+            i, j = sorted((order[start] + 1, order[end - 1] + 1))
+            raise AmbiguousRhoClasses(
+                f"blocks {i} and {j} are chained together by near-ties "
+                f"but differ by more than rho_eq_tol={ss.rho_eq_tol}"
+            )
+        start = end
 
 
 def projection_coefficient(spectrum: BlockSpectrum, x: np.ndarray) -> float:

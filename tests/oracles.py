@@ -1,6 +1,9 @@
-"""Brute-force combinatorial oracles for the block powers of Q and the
-dwell-time sums over admissible paths, together with the growth-rate
-diagnostics that compare those sums against their closed-form equivalents.
+"""Proof oracles for the closed form: brute-force combinatorial sums for
+the block powers of Q and the dwell-time sums over admissible paths, the
+growth-rate diagnostics that compare those sums against their closed-form
+equivalents, and two independent evaluations of the limit (scalar chains,
+single dominant paths).  They re-prove the identities of the asymptotic
+analysis; none of them is on the path that computes a limit.
 
 Scaled scalars: several sequences decay like rho^n and underflow long before
 the horizons of interest, so they are passed around as (mantissa, log_scale)
@@ -16,11 +19,77 @@ from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import BlockNotOnPath
-from .model import SubstochasticModel, log_survival_probability
-from .paths import AdmissiblePath, gamma_enumerate, split_at
-from .spectral import SpectrumSet
-from .structure import FrobeniusForm
+from qergodic.errors import NumericalError, StructureError
+from qergodic.model import SubstochasticModel, log_survival_probability
+from qergodic.paths import AdmissiblePath, PathFamily
+from qergodic.spectral import SpectrumSet
+from qergodic.structure import FrobeniusForm
+
+
+class GammaOverflow(NumericalError):
+    """A composition count exceeds the machine integer range."""
+
+
+class BlockNotOnPath(StructureError):
+    pass
+
+
+class NotScalarChain(StructureError):
+    pass
+
+
+class NotSinglePath(StructureError):
+    pass
+
+
+_MAX_COUNT = 2**62
+
+
+# --- compositions -------------------------------------------------------
+
+
+def split_at(theta: Sequence[int], ell: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Split a path at block ell into the part down to ell and the part from
+    ell on; the two halves share the split block, so their lengths sum to
+    kappa + 1."""
+    theta = tuple(int(t) for t in theta)
+    if ell not in theta:
+        raise BlockNotOnPath(f"block {ell} does not appear on path {theta}")
+    pos = theta.index(ell)
+    return theta[: pos + 1], theta[pos:]
+
+
+def gamma_count(kappa: int, m: int) -> int:
+    """Number of nonnegative kappa-tuples summing to m: C(kappa + m - 1, m)."""
+    if kappa < 1:
+        raise ValueError("kappa must be >= 1")
+    if m < 0:
+        return 0
+    c = math.comb(kappa + m - 1, m)
+    if c > _MAX_COUNT:
+        raise GammaOverflow(f"composition count {c} exceeds the supported range")
+    return c
+
+
+def gamma_enumerate(kappa: int, m: int) -> List[Tuple[int, ...]]:
+    """All nonnegative kappa-tuples summing to m, in lexicographic order."""
+    if kappa < 1:
+        raise ValueError("kappa must be >= 1")
+    if m < 0:
+        return []
+    gamma_count(kappa, m)  # overflow guard before materializing
+    out: List[Tuple[int, ...]] = []
+
+    def rec(prefix: Tuple[int, ...], remaining: int, slots: int):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for first in range(remaining + 1):
+            rec(prefix + (first,), remaining - first, slots - 1)
+
+    rec((), m, kappa)
+    return out
+
 
 N_BRUTE = 25
 
@@ -399,3 +468,60 @@ def asymptotic_ratio_diagnostic(
         drift=drift,
         verdict=verdict,
     )
+
+
+# --- independent evaluations of the limit -------------------------------
+
+
+def scalar_case_qed(
+    form: FrobeniusForm,
+    spectra: SpectrumSet,
+    family: PathFamily,
+    pi_nf: np.ndarray,
+) -> np.ndarray:
+    """Independent evaluation for chains whose blocks are all 1x1.
+
+    Weights are rebuilt from raw matrix entries: the path weight is the
+    initial mass of the start state times the product of connecting entries,
+    with below-maximum diagonal entries contributing 1/(rho_max - q_uu).
+    No eigenvector machinery is involved; must agree with block_qed.
+    """
+    if any(size != 1 for size in form.block_sizes):
+        raise NotScalarChain("scalar evaluation requires all blocks of size 1")
+    Q = form.permuted_Q
+    pi_nf = np.asarray(pi_nf, dtype=float)
+    rho_max = family.rho_max_eff
+
+    def raw_weight(theta: Tuple[int, ...]) -> float:
+        w = pi_nf[theta[0] - 1]
+        for a, b in zip(theta, theta[1:]):
+            w *= Q[a - 1, b - 1]
+        for t in theta:
+            q = Q[t - 1, t - 1]
+            if q != rho_max:  # scalar blocks compare exactly
+                w /= rho_max - q
+        return w
+
+    weights = {p.theta: raw_weight(p.theta) for p in family.maximal}
+    denom = family.h_max * sum(weights.values())
+    out = np.zeros(form.k)
+    for ell in range(1, form.k + 1):
+        if Q[ell - 1, ell - 1] != rho_max:
+            continue
+        group = family.per_block[ell]
+        if group:
+            out[ell - 1] = sum(weights[p.theta] for p in group) / denom
+    return out
+
+
+def single_path_qed(family: PathFamily, spectra: SpectrumSet) -> np.ndarray:
+    """Shortcut when exactly one dominant path exists: mass 1/h_max on each
+    of its root-attaining blocks."""
+    if len(family.maximal) != 1:
+        raise NotSinglePath(f"expected one dominant path, found {len(family.maximal)}")
+    p = family.maximal[0]
+    out = np.zeros(family.k)
+    for pos, t in enumerate(p.theta, start=1):
+        if pos not in p.H_minus:
+            out[t - 1] = 1.0 / family.h_max
+    return out

@@ -11,8 +11,16 @@ import numpy as np
 
 import qergodic as qg
 from qergodic import limits
-from qergodic.asymptotics import (
+from qergodic.errors import AssumptionViolation
+from qergodic.paths import classify_path, enumerate_paths, maximal_paths
+from qergodic.spectral import spectrum_set
+from qergodic.structure import condense
+
+from conftest import model_of, random_model
+from oracles import (
     asymptotic_ratio_diagnostic,
+    gamma_count,
+    gamma_enumerate,
     hat_q_ell,
     path_numerator_closed,
     path_numerator_sequence,
@@ -21,12 +29,6 @@ from qergodic.asymptotics import (
     closed_form_xi,
     xi_ratio,
 )
-from qergodic.errors import AssumptionViolation
-from qergodic.paths import classify_path, enumerate_paths, gamma_count, gamma_enumerate, maximal_paths
-from qergodic.spectral import spectrum_set
-from qergodic.structure import condense
-
-from conftest import model_of, random_model
 
 S2 = math.sqrt(2.0)
 

@@ -10,9 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qergodic as qg
-from qergodic.asymptotics import (
+from qergodic.model import log_survival_probability
+from qergodic.paths import classify_path, enumerate_paths, maximal_paths
+from qergodic.spectral import spectrum_set
+from qergodic.structure import condense
+
+from conftest import model_of, random_model
+from oracles import (
+    BlockNotOnPath,
     asymptotic_ratio_diagnostic,
     closed_form_xi,
+    gamma_count,
     generating_function_occupation,
     hat_q_ell,
     hat_q_ell_t,
@@ -25,13 +33,6 @@ from qergodic.asymptotics import (
     xi_n,
     xi_ratio,
 )
-from qergodic.errors import BlockNotOnPath
-from qergodic.model import log_survival_probability
-from qergodic.paths import classify_path, enumerate_paths, gamma_count, maximal_paths
-from qergodic.spectral import spectrum_set
-from qergodic.structure import condense
-
-from conftest import model_of, random_model
 
 
 def _setup(name):

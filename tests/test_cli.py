@@ -1,14 +1,18 @@
 """CLI contract: parsing, canonical JSON, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qergodic as qg
 from qergodic import limits, paths
+from qergodic import model as core
 from qergodic.cli import ChainDocument, emit_json, main, parse_document
 from qergodic.errors import NoConvergence, ParseError
 
@@ -23,6 +27,8 @@ TWO_STATE = {"Q": [[0.3, 0.0], [0.5, 0.5]], "pi": [0.5, 0.5]}
 UNCERTIFIED = {"Q": [[0.7, 0, 0], [0.2, 0.4, 0.1], [0.05, 0.1, 0.4]], "pi": [0, 0.8, 0.2]}
 # leaks 0.2-0.3 % a step, so about half its trajectories survive 300 steps
 MIXING = {"Q": [[0.5, 0.497, 0], [0.3, 0.4, 0.298], [0.2, 0.3, 0.498]], "pi": [0, 0.8, 0.2]}
+# absorbed within two steps: its dominant root is 0
+NILPOTENT = {"Q": [[0, 0], [0.74, 0]], "pi": [0.479, 0.521]}
 TRIANGLE_FULL = {"Q": [[0.5, 0, 0], [0.1, 0.5, 0], [0.2, 0.1, 0.5]], "pi": [1 / 3, 1 / 3, 1 / 3]}
 
 
@@ -215,6 +221,15 @@ def test_qed_command(doc_file, capsys):
     assert abs(data["observable_limit"] - 7.0) <= 1e-9
 
 
+def test_qed_nilpotent_chain_shows_its_violation(doc_file, capsys):
+    code = main(["qed", doc_file(NILPOTENT), "--format", "json", "--trials", "100"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert data["violations"][0].startswith("the dominant root is 0")
+    assert data["finite_horizon"] == {"error": "pi Q^2 is exactly zero"}
+    assert "error" in data["monte_carlo"]
+
+
 def test_qsd_command(doc_file, capsys):
     code = main(["qsd", doc_file(TWO_STATE), "--format", "json"])
     data = json.loads(capsys.readouterr().out)
@@ -292,12 +307,60 @@ def test_verify_command(doc_file, capsys):
     assert all(c["pass"] for c in data["checks"])
 
 
-def test_verify_uncertified_flags_divergence(doc_file, capsys):
-    code = main(["verify", doc_file(UNCERTIFIED), "--n-max", "400", "--format", "json"])
+@pytest.mark.parametrize("name", ["two_state", "matrix_block", "periodic"])
+def test_verify_fails_a_limit_moved_by_1e_6(name, doc_file, capsys, monkeypatch):
+    true_limit = limits.limit_measure
+
+    def moved(analysis):
+        result = true_limit(analysis)
+        state = result.state_measure_input.copy()
+        state[0] += 1e-6
+        return dataclasses.replace(result, state_measure_input=state)
+
+    monkeypatch.setattr(limits, "limit_measure", moved)
+    Q, pi = CHAINS[name]
+    assert main(["verify", doc_file({"Q": Q, "pi": pi}), "--format", "json"]) == 1
     data = json.loads(capsys.readouterr().out)
-    assert code == 0
-    names = {c["check"]: c["pass"] for c in data["checks"]}
-    assert names["uncertified_divergence_flagged"] is True
+    assert data["pass"] is False
+    assert [c["check"] for c in data["checks"]] == ["limit_vs_extrapolated_profile"]
+
+
+@pytest.mark.parametrize("payload", [UNCERTIFIED, NILPOTENT], ids=["uncertified", "nilpotent"])
+def test_verify_uncertified_exits_2_with_violations(payload, doc_file, capsys):
+    assert main(["verify", doc_file(payload), "--format", "json"]) == 2
+    data = json.loads(capsys.readouterr().out)
+    assert data["violations"] and "checks" not in data
+    analysis = limits.analyze(qg.validate(payload["Q"], payload["pi"]))
+    assert data["violations"] == list(analysis.report.violations)
+
+
+# pi_below_top: pi never reaches the root 0.5, which at horizon 2^16 would
+# scale every profile entry below 0.6^65536
+CERTIFIED = {name: CHAINS[name] for name in CHAINS if name != "uncertified"}
+CERTIFIED["pi_below_top"] = (TWO_STATE["Q"], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED) + ["dag/0", "dag/1", "dag/2"])
+def test_verify_passes_certified_chains(name, doc_file, capsys):
+    if name.startswith("dag/"):
+        c = chains.dag_chain(7, int(name[4:]))
+        Q, pi = c.Q.tolist(), c.pi.tolist()
+    else:
+        Q, pi = CERTIFIED[name]
+    cpu = time.process_time()
+    code = main(["verify", doc_file({"Q": Q, "pi": pi}), "--format", "json"])
+    cpu = time.process_time() - cpu
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0 and data["pass"] is True
+    assert [c["check"] for c in data["checks"]] == ["limit_vs_extrapolated_profile"]
+    assert cpu < 1.0
+
+
+def test_verify_trends_above_the_state_cap(doc_file, capsys, monkeypatch):
+    monkeypatch.setattr(core, "EXTRAPOLATION_MAX_STATES", 1)
+    assert main(["verify", doc_file(TWO_STATE), "--format", "json", "--n-max", "200"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [c["check"] for c in data["checks"]] == ["finite_horizon_trend"]
 
 
 def test_input_error_exit_code(tmp_path, capsys):

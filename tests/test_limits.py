@@ -10,11 +10,12 @@ import pytest
 import qergodic as qg
 from qergodic import limits
 from qergodic.cli import main
-from qergodic.errors import AssumptionViolation, NotIrreducible, NotScalarChain, NotSinglePath
+from qergodic.errors import AssumptionViolation, NotIrreducible
 from qergodic.paths import classify_path, maximal_paths
 from qergodic.structure import condense
 
 from conftest import model_of, random_model
+from oracles import NotScalarChain, NotSinglePath, scalar_case_qed, single_path_qed
 
 S2 = math.sqrt(2.0)
 
@@ -147,7 +148,7 @@ def test_scalar_route_agrees_with_block_route():
         m = model_of(name)
         form, spectra, family, report, pi_nf = _pipeline(m)
         a = limits.block_qed(form, spectra, family, report)
-        b = limits.scalar_case_qed(form, spectra, family, pi_nf)
+        b = scalar_case_qed(form, spectra, family, pi_nf)
         assert np.max(np.abs(a - b)) <= 1e-12, name
 
 
@@ -155,20 +156,20 @@ def test_scalar_route_rejects_matrix_blocks():
     m = model_of("matrix_block")
     form, spectra, family, _, pi_nf = _pipeline(m)
     with pytest.raises(NotScalarChain):
-        limits.scalar_case_qed(form, spectra, family, pi_nf)
+        scalar_case_qed(form, spectra, family, pi_nf)
 
 
 def test_scalar_route_triangle_split_values():
     m = model_of("triangle_split")
     form, spectra, family, _, pi_nf = _pipeline(m)
-    got = limits.scalar_case_qed(form, spectra, family, pi_nf)
+    got = scalar_case_qed(form, spectra, family, pi_nf)
     assert np.max(np.abs(got - np.array([0.5, 1 / 6, 1 / 3]))) <= 1e-12
 
 
 def test_single_path_shortcut():
     m = model_of("triangle_full")
     form, spectra, family, report, _ = _pipeline(m)
-    got = limits.single_path_qed(family, spectra)
+    got = single_path_qed(family, spectra)
     assert np.array_equal(got, limits.block_qed(form, spectra, family, report))
 
 
@@ -176,7 +177,7 @@ def test_single_path_rejects_multiple():
     m = model_of("two_state")
     _, spectra, family, _, _ = _pipeline(m)
     with pytest.raises(NotSinglePath):
-        limits.single_path_qed(family, spectra)
+        single_path_qed(family, spectra)
 
 
 # --- full pipeline -------------------------------------------------------

@@ -3,6 +3,8 @@ exhaustive trajectory oracle, and simulation."""
 
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qergodic as qg
+from qergodic import limits
 from qergodic.errors import (
     NegativeEntry,
     NonFiniteEntry,
@@ -20,8 +23,14 @@ from qergodic.errors import (
     ShapeMismatch,
     SurvivalUnderflow,
 )
+from qergodic.model import extrapolated_occupation
 
-from conftest import model_of, random_model
+from conftest import CHAINS, model_of, random_model
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import chains  # noqa: E402
+import reference  # noqa: E402
 
 
 # --- validation ----------------------------------------------------------
@@ -216,6 +225,20 @@ def test_occupation_nilpotent_chain_underflows():
     for n in (2, 3, 50):
         with pytest.raises(SurvivalUnderflow):
             qg.occupation_profile(m, n)
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS) + ["periodic/0", "periodic/1", "periodic/2"])
+def test_extrapolated_occupation_matches_reference(name):
+    if name.startswith("periodic/"):
+        c = chains.periodic_chain(7, int(name[9:]))
+        m = qg.validate(c.Q, c.pi)
+    else:
+        m = model_of(name)
+    period = math.lcm(*(s.period for s in limits.analyze(m).spectra.blocks))
+    got, err = extrapolated_occupation(m, period)
+    ref, ref_err = reference.extrapolated_profile(m.Q, m.pi, period, log2_m=16)
+    assert np.max(np.abs(got - ref)) <= err + ref_err
+    assert err <= 1e-9 and abs(got.sum() - 1.0) <= 1e-12
 
 
 def test_pi_scaling_invariance():

@@ -10,19 +10,12 @@ from hypothesis import strategies as st
 
 import qergodic as qg
 from qergodic import limits
-from qergodic.errors import BlockNotOnPath, EmptyFamily
-from qergodic.paths import (
-    classify_path,
-    enumerate_paths,
-    gamma_count,
-    gamma_enumerate,
-    maximal_paths,
-    split_at,
-)
+from qergodic.paths import classify_path, enumerate_paths, maximal_paths
 from qergodic.spectral import spectrum_set
 from qergodic.structure import condense
 
 from conftest import model_of, random_model
+from oracles import BlockNotOnPath, gamma_count, gamma_enumerate, split_at
 
 
 def _family(name, restrict=True):

@@ -203,20 +203,33 @@ def test_full_matrix_rho_equals_block_max():
 def test_rho_equality_policy():
     m = model_of("triangle_full")
     spectra = spectrum_set(condense(m))
-    assert spectra.rho_equal(1, 2) and spectra.rho_equal(2, 3)
+    assert spectra.ties(spectra.rho(1), spectra.rho(2)) and spectra.ties(spectra.rho(2), spectra.rho(3))
     m2 = model_of("two_state")
     spectra2 = spectrum_set(condense(m2))
-    assert not spectra2.rho_equal(1, 2)
+    assert not spectra2.ties(spectra2.rho(1), spectra2.rho(2))
 
 
-def test_scalar_blocks_compare_exactly():
-    # literal-entry comparison for scalar blocks: an offset below the relative
-    # tolerance still separates them
+def test_scalar_blocks_tie_within_tolerance():
+    # scalar blocks take the same relative tolerance as matrix blocks: an
+    # offset below it is a tie
     eps = 1e-13
     Q = np.diag([0.5, 0.5 + eps])
     m = qg.validate(Q, [0.5, 0.5])
     spectra = spectrum_set(condense(m), rho_eq_tol=1e-9)
-    assert not spectra.rho_equal(1, 2)
+    assert spectra.rho(1) != spectra.rho(2)
+    assert spectra.attains(1, spectra.rho(2)) and spectra.attains(2, spectra.rho(1))
+
+
+@pytest.mark.parametrize("roots", [(0.5, 0.5 + 3e-10, 0.5 + 6e-10), (0.5 + 6e-10, 0.5 + 3e-10, 0.5)])
+def test_scalar_near_ties_are_ambiguous(roots):
+    # adjacent roots tie at rho_eq_tol = 1e-9 but the outer two do not, as
+    # with matrix blocks below; chained downward with pi on the top block,
+    # either order used to pick two of the three blocks silently
+    Q = np.diag(roots)
+    Q[1, 0] = Q[2, 1] = 0.1
+    m = qg.validate(Q, [0.0, 0.0, 1.0])
+    with pytest.raises(AmbiguousRhoClasses):
+        qg.full_qed(m)
 
 
 def test_ambiguous_rho_classes_detected():
