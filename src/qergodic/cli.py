@@ -183,12 +183,12 @@ def _build_model(doc: ChainDocument) -> core.SubstochasticModel:
 # --- report assembly -----------------------------------------------------
 
 
-def _analyze(doc: ChainDocument, model: core.SubstochasticModel) -> limits.Analysis:
+def _analyze(doc: ChainDocument, model: core.SubstochasticModel, args) -> limits.Analysis:
     return limits.analyze(
         model,
-        rho_eq_tol=doc.options["rho_eq_tol"],
+        rho_eq_tol=doc.options["rho_eq_tol"] if args.rho_tol is None else args.rho_tol,
         alpha_tol=doc.options["alpha_tol"],
-        restrict_to_pi_support=doc.options["pi_restriction"],
+        restrict_to_pi_support=doc.options["pi_restriction"] and not args.no_pi_restriction,
     )
 
 
@@ -304,7 +304,7 @@ def _print_table(obj, indent: int, key: str = "") -> None:
 
 def cmd_analyze(doc: ChainDocument, args) -> int:
     model = _build_model(doc)
-    analysis = _analyze(doc, model)
+    analysis = _analyze(doc, model, args)
     payload = _analysis_payload(analysis)
     try:
         payload["quasi_stationary"] = limits.quasi_stationary_distribution(model.Q)
@@ -324,7 +324,7 @@ def cmd_analyze(doc: ChainDocument, args) -> int:
 def cmd_qed(doc: ChainDocument, args) -> int:
     model = _build_model(doc)
     try:
-        result = limits.limit_measure(_analyze(doc, model))
+        result = limits.limit_measure(_analyze(doc, model, args))
     except AssumptionViolation as exc:
         payload = {"schema": SCHEMA, "violations": _violations(exc)}
         payload.update(_fallback_payload(model, args.n, args.trials, args.seed))
@@ -346,7 +346,7 @@ def cmd_qsd(doc: ChainDocument, args) -> int:
 
 def cmd_paths(doc: ChainDocument, args) -> int:
     model = _build_model(doc)
-    payload = _analysis_payload(_analyze(doc, model))
+    payload = _analysis_payload(_analyze(doc, model, args))
     payload = {k: payload[k] for k in ("schema", "permutation", "block_sizes", "paths", "h_max", "rho_max")}
     _print_payload(payload, args.format)
     return 0
@@ -385,7 +385,7 @@ def cmd_simulate(doc: ChainDocument, args) -> int:
 
 def cmd_verify(doc: ChainDocument, args) -> int:
     model = _build_model(doc)
-    analysis = _analyze(doc, model)
+    analysis = _analyze(doc, model, args)
     try:
         limit = limits.limit_measure(analysis).state_measure_input
     except AssumptionViolation as exc:
@@ -415,28 +415,46 @@ def _default_seed() -> int:
     return int(env) if env else 0
 
 
+def _horizon_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, default=1000, help="horizon for finite-n and fallback estimates")
+
+
+def _sampling_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=_default_seed())
+
+
+def _analysis_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rho-tol", dest="rho_tol", type=float, default=None)
+    p.add_argument("--no-pi-restriction", dest="no_pi_restriction", action="store_true")
+
+
+def _trend_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n-max", dest="n_max", type=int, default=2000)
+
+
+# each command with the flag groups its cmd_* reads
+COMMANDS = {
+    "analyze": (cmd_analyze, (_horizon_flags, _sampling_flags, _analysis_flags)),
+    "qed": (cmd_qed, (_horizon_flags, _sampling_flags, _analysis_flags)),
+    "qsd": (cmd_qsd, ()),
+    "paths": (cmd_paths, (_analysis_flags,)),
+    "finite-n": (cmd_finite_n, (_horizon_flags,)),
+    "simulate": (cmd_simulate, (_horizon_flags, _sampling_flags)),
+    "verify": (cmd_verify, (_analysis_flags, _trend_flags)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qergodic", description="Conditioned limits of absorbing Markov chains")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "analyze": cmd_analyze,
-        "qed": cmd_qed,
-        "qsd": cmd_qsd,
-        "paths": cmd_paths,
-        "finite-n": cmd_finite_n,
-        "simulate": cmd_simulate,
-        "verify": cmd_verify,
-    }
-    for name, fn in commands.items():
-        p = sub.add_parser(name)
+    for name, (fn, flag_groups) in COMMANDS.items():
+        # no prefix matching: `paths --n` must not pass for --no-pi-restriction
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("file", help="chain document (JSON or CSV), or - for stdin")
         p.add_argument("--format", choices=("json", "table"), default="table")
-        p.add_argument("--n", type=int, default=1000, help="horizon for finite-n and fallback estimates")
-        p.add_argument("--trials", type=int, default=10000)
-        p.add_argument("--seed", type=int, default=_default_seed())
-        p.add_argument("--n-max", dest="n_max", type=int, default=2000)
-        p.add_argument("--rho-tol", dest="rho_tol", type=float, default=None)
-        p.add_argument("--no-pi-restriction", dest="no_pi_restriction", action="store_true")
+        for add_flags in flag_groups:
+            add_flags(p)
         p.set_defaults(fn=fn)
     return parser
 
@@ -444,12 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc = parse_document(args.file)
-        if args.rho_tol is not None:
-            doc.options["rho_eq_tol"] = args.rho_tol
-        if args.no_pi_restriction:
-            doc.options["pi_restriction"] = False
-        return args.fn(doc, args)
+        return args.fn(parse_document(args.file), args)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

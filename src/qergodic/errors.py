@@ -59,6 +59,11 @@ class NoSurvivors(NumericalError):
     """No Monte Carlo trajectory survived past the requested horizon."""
 
 
+class NoQuasiStationary(NumericalError):
+    """No unique quasi-stationary distribution: the top root is 0, or two
+    blocks share it."""
+
+
 class AmbiguousRhoClasses(NumericalError):
     """Perron-root equality classes are not transitive at the given tolerance."""
 

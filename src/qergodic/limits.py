@@ -25,10 +25,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import AssumptionViolation, NotIrreducible
+from .errors import AssumptionViolation, NoQuasiStationary, NotIrreducible
 from .model import SubstochasticModel
 from .paths import AdmissiblePath, PathFamily, classify_path, enumerate_paths, maximal_paths
-from .spectral import SpectrumSet, perron_block, spectrum_set, _power_iteration
+from .spectral import SpectrumSet, perron_data, spectrum_set
 from .structure import FrobeniusForm, _strongly_connected_components, _successor_lists, condense
 
 ALPHA_TOL = 1e-12
@@ -80,18 +80,48 @@ def irreducible_qed(Q) -> np.ndarray:
         raise NotIrreducible("expected a square matrix")
     if len(_strongly_connected_components(_successor_lists(Q)[0])) != 1:
         raise NotIrreducible("matrix is not irreducible")
-    s = perron_block(Q)
-    return s.u * s.v
+    _, v, u = perron_data(Q)
+    return u * v
 
 
 def quasi_stationary_distribution(Q) -> np.ndarray:
-    """Left eigenvector of Q for its spectral radius, normalized to sum 1.
+    """The quasi-stationary distribution: the left eigenvector of Q for its
+    spectral radius rho, nonnegative and normalized to sum 1.
 
-    Power iteration runs on (Q + I)^T so that periodic chains still converge;
-    the shift moves every eigenvalue by 1 without changing eigenvectors.
+    Q is split into its strongly connected blocks, and `perron_data` solves
+    each for its Perron root.  The distribution is unique exactly when one
+    block l attains the top root rho > 0; if rho is 0 or another block ties
+    it (relative tolerance RHO_EQ_TOL), NoQuasiStationary is raised at once.
+    Otherwise block l carries its left Perron vector u_l, the states S that
+    l reaches get u_S = u_l Q_lS (rho I - Q_SS)^-1 from one solve, and
+    every other state gets exactly 0.  An irreducible Q gets u / sum(u).
     """
     Q = np.asarray(Q, dtype=float)
-    _, x = _power_iteration(Q.T + np.eye(Q.shape[0]), tol=1e-14, max_iter=10**6)
+    adj = _successor_lists(Q)[0]
+    blocks = _strongly_connected_components(adj)
+    data = [perron_data(Q[np.ix_(b, b)]) for b in blocks]
+    roots = [rho for rho, _, _ in data]
+    top = int(np.argmax(roots))
+    rho = roots[top]
+    if rho == 0.0:
+        raise NoQuasiStationary("the top root is 0: the chain is absorbed within finitely many steps")
+    tied = sum(abs(r - rho) <= RHO_EQ_TOL * rho for r in roots)
+    if tied > 1:
+        raise NoQuasiStationary(
+            f"{tied} blocks share the top root {rho:.6g}, so the quasi-stationary distribution is not unique"
+        )
+    L = blocks[top]
+    reached, stack = set(L), list(L)
+    while stack:
+        for t in adj[stack.pop()]:
+            if t not in reached:
+                reached.add(t)
+                stack.append(t)
+    x = np.zeros(Q.shape[0])
+    x[L] = data[top][2]
+    S = sorted(reached.difference(L))
+    if S:
+        x[S] = np.linalg.solve(rho * np.eye(len(S)) - Q[np.ix_(S, S)].T, x[L] @ Q[np.ix_(L, S)])
     return x / x.sum()
 
 

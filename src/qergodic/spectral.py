@@ -1,6 +1,12 @@
 """Per-block Perron data (root, left/right eigenvectors) and the path
 weights built from projection coefficients.
 
+`perron_data` is the one Perron solver, for the blocks of `spectrum_set`,
+for `irreducible_qed` and for the quasi-stationary distribution.  The right
+vector comes from Noda's shifted inverse iteration, a few dense solves
+whatever the spectral gap or the period; the left vector from one bordered
+solve.  Both must meet the residual bound RESIDUAL_TOL.
+
 `spectrum_set` computes each projection coefficient once per chain: the exit
 coefficient u . 1 of every block and the connector coefficient
 u_i . (C_ij v_j) of every off-diagonal block.  A path's weight is a product of
@@ -22,8 +28,8 @@ import numpy as np
 from .errors import AmbiguousRhoClasses, NoConvergence
 from .structure import FrobeniusForm, block_period
 
-POWER_TOL = 1e-13
-POWER_MAX_ITER = 10**6
+RESIDUAL_TOL = 1e-13
+MAX_SOLVES = 50
 
 
 @dataclass(frozen=True)
@@ -67,76 +73,106 @@ class SpectrumSet:
         return abs(rho - value) <= self.rho_eq_tol * max(rho, value)
 
 
-def _power_iteration(M: np.ndarray, tol: float, max_iter: int):
-    """Leading eigenpair of a nonnegative matrix by power iteration.
-
-    Returns (lam, x) with x >= 0 normalized to sum 1 and residual
-    ||Mx - lam x||_inf <= tol * max(lam, 1).  The product of the residual
-    test is the next step's product, so s steps take s + 1 products.
-    """
-    n = M.shape[0]
-    x = np.full(n, 1.0 / n)
-    Mx = M @ x
-    for _ in range(max_iter):
-        s = Mx.sum()
-        if s == 0.0:
-            return 0.0, x
-        y = Mx / s
-        lam = s
-        Mx = M @ y
-        if np.max(np.abs(Mx - lam * y)) <= tol * max(lam, 1.0):
-            return lam, y
-        x = y
-    raise NoConvergence(f"power iteration did not reach tol {tol} in {max_iter} steps")
+def _shifted_solve(B: np.ndarray, sigma: float, x: np.ndarray) -> np.ndarray:
+    """(sigma I - B)^-1 x.  If sigma I - B is singular to working precision,
+    sigma is the Perron root to working precision; the shift then moves up by
+    RESIDUAL_TOL, which keeps (sigma I - B)^-1 x dominated by the Perron
+    vector."""
+    eye = np.eye(len(x))
+    try:
+        return np.linalg.solve(sigma * eye - B, x)
+    except np.linalg.LinAlgError:
+        return np.linalg.solve((sigma + RESIDUAL_TOL * max(sigma, 1.0)) * eye - B, x)
 
 
-def perron_block(block: np.ndarray, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER) -> BlockSpectrum:
-    """Perron data of an irreducible diagonal block.  Irreducibility is the
-    caller's to guarantee; `condense` yields only irreducible blocks.
+def _left_vector(B: np.ndarray, rho: float, v: np.ndarray) -> np.ndarray:
+    """Left Perron vector u with u . v = 1.
 
-    For primitive blocks, power iteration runs on the block and its transpose
-    directly.  For a block of period h > 1 the root is found by iterating on
-    block^h (whose Perron root is rho^h and strictly dominant on the relevant
-    eigenspace) and taking the h-th root; the eigenvectors are recovered by
-    iterating on block + I, which shifts every eigenvalue by 1 and makes the
-    Perron root strictly dominant without changing eigenvectors.
-    """
-    block = np.asarray(block, dtype=float)
-    n = block.shape[0]
+    Like Noda's iteration for v, it starts from the uniform vector, and takes
+    it when its residual is exactly 0 (equal column sums).  Otherwise u comes
+    from one bordered solve: the system (rho I - B^T) u = 0 with its
+    equation i replaced by v . u = 1.  The replaced equation is implied by
+    the others, since v is the left null vector of rho I - B^T and v_i > 0;
+    the bordered matrix is nonsingular because u . v != 0.  The error of rho
+    lands in equation i, scaled by 1 / v_i, so i is the largest entry of v."""
+    n = len(v)
+    w = np.full(n, 1.0 / n)
+    wB = w @ B
+    if not (wB - wB.sum() * w).any():
+        return w / (w @ v)
+    i = int(np.argmax(v))
+    M = rho * np.eye(n) - B.T
+    M[i] = v
+    rhs = np.zeros(n)
+    rhs[i] = 1.0
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"the bordered system for the left Perron vector is singular: {exc}") from exc
+
+
+def _within_tol(residual: np.ndarray, lam: float) -> bool:
+    return bool(np.max(np.abs(residual)) <= RESIDUAL_TOL * max(lam, 1.0))
+
+
+def perron_data(block: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
+    """(rho, v, u) of an irreducible block: the Perron root, the right
+    vector summing to 1 and the left vector with u . v = 1.
+
+    v comes from Noda's iteration (T. Noda, Numer. Math. 17, 1971).  Each
+    step takes the Collatz-Wielandt bound sigma = max_i (Bx)_i / x_i, which
+    never falls below rho, and solves (sigma I - B) y = x.  For sigma > rho
+    the inverse is entrywise positive and its dominant eigenvalue
+    1 / (sigma - rho) is strict, cyclic blocks included; sigma converges to
+    rho superlinearly, so the number of solves does not depend on the
+    spectral gap.  The residual test is ||Bx - lam x||_inf <=
+    RESIDUAL_TOL * max(lam, 1), with x summing to 1 and lam = sum(Bx).  It
+    bounds the error of x only by the residual over the spectral gap, so the
+    iteration returns the iterate one solve past the first that passes (the
+    superlinear step leaves x at working precision), or an iterate whose
+    residual is exactly 0.  u comes from `_left_vector` and must pass the
+    same test, normalized to sum 1; if it does not, the iteration goes on.
+    After MAX_SOLVES solves NoConvergence is raised."""
+    B = np.asarray(block, dtype=float)
+    n = B.shape[0]
     if n == 1:
-        rho = float(block[0, 0])
-        return BlockSpectrum(
-            rho=rho,
-            v=np.array([1.0]),
-            u=np.array([1.0]),
-            sub_modulus=0.0,
-            period=1,
-            primitive=True,
-            scalar=True,
-        )
+        return float(B[0, 0]), np.array([1.0]), np.array([1.0])
+    x = np.full(n, 1.0 / n)
+    passed = False
+    for solves in range(MAX_SOLVES + 1):
+        Bx = B @ x
+        lam = float(Bx.sum())
+        residual = Bx - lam * x
+        if _within_tol(residual, lam):
+            if passed or not residual.any():
+                u = _left_vector(B, lam, x)
+                un = u / u.sum()
+                if _within_tol(un @ B - lam * un, lam):
+                    return lam, x, u
+            passed = True
+        if solves < MAX_SOLVES:
+            x = _shifted_solve(B, np.max(Bx / x), x)
+            x = x / x.sum()
+    raise NoConvergence(f"Noda iteration did not reach residual {RESIDUAL_TOL} in {MAX_SOLVES} solves")
+
+
+def perron_block(block: np.ndarray) -> BlockSpectrum:
+    """Perron data of an irreducible diagonal block (see `perron_data`),
+    with its period and the diagnostic `sub_modulus`.  Irreducibility is the
+    caller's to guarantee; `condense` yields only irreducible blocks.
+    Cyclic blocks take the same solve as primitive ones."""
+    block = np.asarray(block, dtype=float)
+    rho, v, u = perron_data(block)
+    if block.shape[0] == 1:
+        return BlockSpectrum(rho=rho, v=v, u=u, sub_modulus=0.0, period=1, primitive=True, scalar=True)
     h = block_period(block)
-    primitive = h == 1
-    if primitive:
-        rho, v = _power_iteration(block, tol, max_iter)
-        _, u = _power_iteration(block.T, tol, max_iter)
-    else:
-        rho_h, _ = _power_iteration(np.linalg.matrix_power(block, h), tol, max_iter)
-        rho = rho_h ** (1.0 / h)
-        # block + I: same eigenvectors, spectrum shifted so the Perron root
-        # is strictly dominant even for cyclic blocks
-        shifted = block + np.eye(n)
-        _, v = _power_iteration(shifted, tol, max_iter)
-        _, u = _power_iteration(shifted.T, tol, max_iter)
-    v = v / v.sum()
-    u = u / (u @ v)
-    sub = _sub_modulus(block, rho, v, u)
     return BlockSpectrum(
-        rho=float(rho),
+        rho=rho,
         v=v,
         u=u,
-        sub_modulus=sub,
+        sub_modulus=_sub_modulus(block, rho, v, u),
         period=h,
-        primitive=primitive,
+        primitive=h == 1,
         scalar=False,
     )
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -132,52 +133,63 @@ def test_analyze_uncertified_exits_2_with_fallback(doc_file, capsys):
 
 
 def test_analyze_keeps_closed_form_when_qsd_fails(doc_file, capsys, monkeypatch):
-    # power iteration fails this way on triangle_full, after about 16 s
+    # any NumericalError of the QSD
     def fail(Q):
-        raise NoConvergence("power iteration did not reach tol 1e-14")
+        raise NoConvergence("Noda iteration did not reach residual 1e-13 in 50 solves")
 
     monkeypatch.setattr(limits, "quasi_stationary_distribution", fail)
     code = main(["analyze", doc_file(TRIANGLE_FULL), "--format", "json"])
     data = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert data["quasi_stationary"] == {"error": "power iteration did not reach tol 1e-14"}
+    assert data["quasi_stationary"] == {"error": "Noda iteration did not reach residual 1e-13 in 50 solves"}
     assert data["assumptions"]["certified"] is True
     assert "state_measure_input_order" in data["result"]
 
 
-# recorded before the CLI and full_qed shared one analysis: exit code, bytes
+def test_analyze_reports_the_qsd_error_on_a_tied_top_root(doc_file, capsys):
+    # three blocks share the root 0.5, so the QSD is not unique
+    code = main(["analyze", doc_file(TRIANGLE_FULL), "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert data["quasi_stationary"] == {
+        "error": "3 blocks share the top root 0.5, so the quasi-stationary distribution is not unique"
+    }
+    assert data["assumptions"]["certified"] is True
+    assert "state_measure_input_order" in data["result"]
+
+
+# exit code and bytes; re-recorded when the Perron data moved from power
+# iteration to Noda's iteration, every changed number closer to its exact value
 ANALYZE_BYTES = {
     "matrix_block": (
         0,
-        '{"assumptions":{"certified":true,"pi_restriction":true,"scalar_ok":true,"violations":[],"witness'
-        '_path":[1]},"block_sizes":[2,1],"blocks":[{"period":1,"primitive":true,"rho":0.24142135623746899'
-        ',"scalar":false,"sub_modulus":0.04142135623730997,"u":[1.2071067811865475,0.50000000000033029],"'
-        'v":[0.70710678118641068,0.29289321881358926]},{"period":1,"primitive":true,"rho":0.1000000000000'
-        '0001,"scalar":true,"sub_modulus":0,"u":[1],"v":[1]}],"h_max":1,"paths":[{"alpha":1.7071067811868'
-        '779,"h_minus":0,"h_plus":1,"maximal":true,"pi_mass":0.25,"rho":0.24142135623746899,"theta":[1]},'
-        '{"alpha":1,"h_minus":0,"h_plus":1,"maximal":false,"pi_mass":0.5,"rho":0.10000000000000001,"theta'
-        '":[2]},{"alpha":0.2207106781187208,"h_minus":1,"h_plus":1,"maximal":true,"pi_mass":0.5,"rho":0.2'
-        '4142135623746899,"theta":[2,1]}],"permutation":[1,2,3],"quasi_stationary":[0.70710678118646841,0'
-        '.29289321881347891,5.2699054938722558e-14],"result":{"block_measure":[1,0],"h_max":1,"rho_max":0'
-        '.24142135623746899,"state_measure_input_order":[0.85355339059310853,0.14644660940689136,0],"stat'
-        'e_measure_normal_form":[0.85355339059310853,0.14644660940689136,0]},"rho_max":0.2414213562374689'
-        '9,"schema":"qergodic/1"}\n'
+        '{"assumptions":{"certified":true,"pi_restriction":true,"scalar_ok":true,"violations":[],"witness_pat'
+        'h":[1]},"block_sizes":[2,1],"blocks":[{"period":1,"primitive":true,"rho":0.24142135623730954,"scalar'
+        '":false,"sub_modulus":0.04142135623730997,"u":[1.2071067811865475,0.49999999999999989],"v":[0.707106'
+        '78118654757,0.29289321881345248]},{"period":1,"primitive":true,"rho":0.10000000000000001,"scalar":tr'
+        'ue,"sub_modulus":0,"u":[1],"v":[1]}],"h_max":1,"paths":[{"alpha":1.7071067811865475,"h_minus":0,"h_p'
+        'lus":1,"maximal":true,"pi_mass":0.25,"rho":0.24142135623730954,"theta":[1]},{"alpha":1,"h_minus":0,"'
+        'h_plus":1,"maximal":false,"pi_mass":0.5,"rho":0.10000000000000001,"theta":[2]},{"alpha":0.2207106781'
+        '1865477,"h_minus":1,"h_plus":1,"maximal":true,"pi_mass":0.5,"rho":0.24142135623730954,"theta":[2,1]}'
+        '],"permutation":[1,2,3],"quasi_stationary":[0.70710678118654746,0.29289321881345243,0],"result":{"bl'
+        'ock_measure":[1,0],"h_max":1,"rho_max":0.24142135623730954,"state_measure_input_order":[0.8535533905'
+        '9327373,0.14644660940672621,0],"state_measure_normal_form":[0.85355339059327373,0.14644660940672621,'
+        '0]},"rho_max":0.24142135623730954,"schema":"qergodic/1"}\n'
     ),
     "uncertified": (
         2,
-        '{"assumptions":{"certified":false,"pi_restriction":true,"scalar_ok":false,"violations":["block 2'
-        ' has root 0.5 below the dominant root but is not scalar (size 2)"],"witness_path":[2,1]},"block_'
-        'sizes":[1,2],"blocks":[{"period":1,"primitive":true,"rho":0.69999999999999996,"scalar":true,"sub'
-        '_modulus":0,"u":[1],"v":[1]},{"period":1,"primitive":true,"rho":0.5,"scalar":false,"sub_modulus"'
-        ':0.30000000000000049,"u":[1,1],"v":[0.5,0.5]}],"h_max":1,"paths":[{"alpha":1,"h_minus":0,"h_plus'
-        '":1,"maximal":false,"pi_mass":0,"rho":0.69999999999999996,"theta":[1]},{"alpha":2,"h_minus":0,"h'
-        '_plus":1,"maximal":false,"pi_mass":0.5,"rho":0.5,"theta":[2]},{"alpha":0.25,"h_minus":1,"h_plus"'
-        ':1,"maximal":true,"pi_mass":0.5,"rho":0.69999999999999996,"theta":[2,1]}],"permutation":[1,2,3],'
-        '"quasi_stationary":[0.99999999999992006,3.9992497328471697e-14,3.9992497328471691e-14],"result":'
-        '{"banner":"no closed form certified; finite-horizon and Monte Carlo estimates follow","finite_ho'
-        'rizon":{"n":400,"state_occupation":[0.99193752905870924,0.0062502641700832714,0.0018122067712075'
-        '744]},"monte_carlo":{"error":"none of 500 trajectories survived past n=200"}},"rho_max":0.699999'
-        '99999999996,"schema":"qergodic/1"}\n'
+        '{"assumptions":{"certified":false,"pi_restriction":true,"scalar_ok":false,"violations":["block 2 has'
+        ' root 0.5 below the dominant root but is not scalar (size 2)"],"witness_path":[2,1]},"block_sizes":['
+        '1,2],"blocks":[{"period":1,"primitive":true,"rho":0.69999999999999996,"scalar":true,"sub_modulus":0,'
+        '"u":[1],"v":[1]},{"period":1,"primitive":true,"rho":0.5,"scalar":false,"sub_modulus":0.3000000000000'
+        '0049,"u":[1,1],"v":[0.5,0.5]}],"h_max":1,"paths":[{"alpha":1,"h_minus":0,"h_plus":1,"maximal":false,'
+        '"pi_mass":0,"rho":0.69999999999999996,"theta":[1]},{"alpha":2,"h_minus":0,"h_plus":1,"maximal":false'
+        ',"pi_mass":0.5,"rho":0.5,"theta":[2]},{"alpha":0.25,"h_minus":1,"h_plus":1,"maximal":true,"pi_mass":'
+        '0.5,"rho":0.69999999999999996,"theta":[2,1]}],"permutation":[1,2,3],"quasi_stationary":[1,0,0],"resu'
+        'lt":{"banner":"no closed form certified; finite-horizon and Monte Carlo estimates follow","finite_ho'
+        'rizon":{"n":400,"state_occupation":[0.99193752905870924,0.0062502641700832714,0.0018122067712075744]'
+        '},"monte_carlo":{"error":"none of 500 trajectories survived past n=200"}},"rho_max":0.69999999999999'
+        '996,"schema":"qergodic/1"}\n'
     ),
 }
 
@@ -191,12 +203,23 @@ def test_analyze_bytes_fixed_across_versions(name, doc_file, capsys):
     assert capsys.readouterr().out == expected
 
 
-# SHA-256 of `paths --format json` stdout, recorded when each path weight
-# still took one matrix-vector product per step; 8,916 paths between them,
-# each with its alpha, pi_mass and rho
+def test_analyze_matrix_block_exact_root_and_qsd_zeros(doc_file, capsys):
+    Q, pi = CHAINS["matrix_block"]
+    assert main(["analyze", doc_file({"Q": Q, "pi": pi}), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    exact = (1 + math.sqrt(2)) / 10
+    assert abs(data["blocks"][0]["rho"] - exact) <= 2 * math.ulp(exact)
+    # state 3 feeds the top block and is not reached from it
+    assert data["quasi_stationary"][2] == 0.0
+
+
+# SHA-256 of `paths --format json` stdout, re-recorded when the Perron data
+# moved from power iteration to Noda's iteration (every changed alpha,
+# pi_mass and rho moved closer to its 40-digit value); 8,916 paths between
+# them
 PATHS_SHA256 = {
-    0: "1a6aa8f18c0a9fb2520889624d299164c3d4115fa6a08f6483f20f8547e4bfe2",
-    29: "0f9ff5fe58cfff6cf47224f0c279f842a7e9276cd9fa725f8a86ccc3235e6b8f",
+    0: "47d3836f814e37f450ae0b7df7201fdb5f1084facabbc85c6e572206202e090b",
+    29: "8dc8a9250aeeab3a519f6c67e19b272b869e3a6c8faf207f42baa633908cd824",
 }
 
 
@@ -210,7 +233,7 @@ def test_paths_bytes_fixed_on_dag_chains(index, doc_file, capsys):
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 def test_command_analyzes_the_chain_once(command, doc_file, capsys, monkeypatch):
     calls = count_calls(monkeypatch, paths.enumerate_paths)
-    assert main([command, doc_file(TWO_STATE), "--format", "json", "--n-max", "200"]) == 0
+    assert main([command, doc_file(TWO_STATE), "--format", "json"]) == 0
     assert len(calls) == 1
 
 
@@ -370,6 +393,34 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "missing.json")]) == 1
     path.write_text('{"Q": [[0.5, 0.1], [0.1, 0.5]], "pi": [NaN, 0.5]}')
     assert main(["analyze", str(path)]) == 1
+
+
+# each flag group: its flags, and the commands that do not read them
+UNREAD_FLAGS = {
+    "horizon": ([["--n", "5"], ["--n"]], ["qsd", "paths", "verify"]),
+    "sampling": ([["--trials", "5"], ["--seed", "1"]], ["qsd", "paths", "finite-n", "verify"]),
+    "analysis": ([["--rho-tol", "3"], ["--no-pi-restriction"]], ["qsd", "finite-n", "simulate"]),
+    "trend": ([["--n-max", "5"]], ["analyze", "qed", "qsd", "paths", "finite-n", "simulate"]),
+}
+
+
+@pytest.mark.parametrize("group", sorted(UNREAD_FLAGS))
+def test_commands_reject_flags_they_do_not_read(group, doc_file, capsys):
+    flags, commands = UNREAD_FLAGS[group]
+    path = doc_file(TWO_STATE)
+    for command in commands:
+        for flag in flags:
+            with pytest.raises(SystemExit) as exc:
+                main([command, path, *flag])
+            assert exc.value.code == 2
+            assert "error:" in capsys.readouterr().err
+
+
+def test_qsd_rejects_analysis_and_trend_flags(doc_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["qsd", doc_file(TWO_STATE), "--n-max", "5", "--rho-tol", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n-max 5 --rho-tol 3" in capsys.readouterr().err
 
 
 def test_no_pi_restriction_flag(doc_file, capsys):

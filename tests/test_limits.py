@@ -3,6 +3,7 @@ assumption report, and the end-to-end pipeline."""
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ import pytest
 import qergodic as qg
 from qergodic import limits
 from qergodic.cli import main
-from qergodic.errors import AssumptionViolation, NotIrreducible
+from qergodic.errors import AssumptionViolation, NoQuasiStationary, NotIrreducible
 from qergodic.paths import classify_path, maximal_paths
+from qergodic.spectral import spectrum_set
 from qergodic.structure import condense
 
-from conftest import model_of, random_model
+from conftest import CHAINS, model_of, random_model
 from oracles import NotScalarChain, NotSinglePath, scalar_case_qed, single_path_qed
 
 S2 = math.sqrt(2.0)
@@ -57,6 +59,47 @@ def test_qsd_irreducible_and_scalar():
     want = np.array([(1 + S2) / (2 + S2), 1 / (2 + S2)])
     assert np.max(np.abs(got - want)) <= 1e-9
     assert np.allclose(qg.quasi_stationary_distribution([[0.4]]), [1.0])
+
+
+@pytest.mark.parametrize(
+    "Q",
+    [CHAINS[name][0] for name in ("triangle_full", "triangle_split", "four_block", "five_block")] + [[[0, 0], [0.74, 0]]],
+    ids=["triangle_full", "triangle_split", "four_block", "five_block", "nilpotent"],
+)
+def test_qsd_raises_at_once_without_a_unique_qsd(Q):
+    # three or four blocks share the top root, or the top root is 0; power
+    # iteration spent 5-15 s before giving up on these
+    cpu = time.process_time()
+    with pytest.raises(NoQuasiStationary):
+        qg.quasi_stationary_distribution(Q)
+    assert time.process_time() - cpu < 0.1
+
+
+def test_qsd_is_the_left_eigenvector_of_the_unique_top_block():
+    # on reducible chains with one top block: a nonnegative left eigenvector
+    # for rho, exactly 0 off the top block and the blocks it reaches
+    rng = np.random.default_rng(43)
+    models = [model_of(name) for name in ("two_state", "matrix_block", "uncertified", "periodic")]
+    models += [random_model(rng, d_max=8) for _ in range(200)]
+    checked = 0
+    for m in models:
+        rho = max(np.linalg.eigvals(m.Q).real)
+        try:
+            qsd = qg.quasi_stationary_distribution(m.Q)
+        except NoQuasiStationary:
+            continue
+        assert np.all(qsd >= 0) and abs(qsd.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(qsd @ m.Q - rho * qsd)) <= 1e-12
+        # positive exactly on the states the top block reaches
+        form = condense(m)
+        top = int(np.argmax([s.rho for s in spectrum_set(form).blocks]))
+        start = np.zeros(m.d)
+        start[[form.perm[p] for p in form.index_sets[top]]] = 1.0
+        reached = start @ np.linalg.matrix_power(np.eye(m.d) + (m.Q > 0), m.d) > 0
+        assert np.array_equal(qsd > 0, reached)
+        checked += 1
+    assert checked > 100
+    assert np.array_equal(qg.quasi_stationary_distribution(CHAINS["uncertified"][0]), [1.0, 0.0, 0.0])
 
 
 # --- assumption report ---------------------------------------------------

@@ -43,10 +43,7 @@ def test_phase_dependent_chain_is_uncertified(seed, index, h_max):
 
 
 @pytest.mark.parametrize("seed,index", [(7, 22), (8, 3)])
-def test_analyze_falls_back_on_phase_dependent_chain(seed, index, tmp_path, capsys, monkeypatch):
-    # stubbed: the QSD is not under test, and its power iteration can spend
-    # seconds on cyclic chains
-    monkeypatch.setattr(limits, "quasi_stationary_distribution", lambda Q: np.full(len(Q), 1.0 / len(Q)))
+def test_analyze_falls_back_on_phase_dependent_chain(seed, index, tmp_path, capsys):
     c = chains.periodic_chain(seed, index)
     path = tmp_path / "chain.json"
     path.write_text(json.dumps({"Q": c.Q.tolist(), "pi": c.pi.tolist()}))
@@ -56,6 +53,8 @@ def test_analyze_falls_back_on_phase_dependent_chain(seed, index, tmp_path, caps
     assert data["assumptions"]["certified"] is False
     assert any(PHASE in v for v in data["assumptions"]["violations"])
     assert "banner" in data["result"] and "finite_horizon" in data["result"]
+    # every cyclic block sits at the top root, so the QSD is not unique
+    assert "not unique" in data["quasi_stationary"]["error"]
 
 
 def _random_periodic_chain(rng):

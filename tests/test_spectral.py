@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +18,10 @@ from qergodic.spectral import (
     perron_block,
     projection_coefficient,
     spectrum_set,
-    _power_iteration,
 )
 from qergodic.structure import condense
 
-from conftest import count_calls, model_of, random_model
+from conftest import CHAINS, count_calls, model_of, random_model
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -145,49 +145,129 @@ def test_each_coefficient_projected_once_per_chain(monkeypatch):
     assert len(calls) == form.k + len(form.sub_blocks)
 
 
-class _CountingMatrix:
-    """A matrix that counts its products with a vector."""
-
-    def __init__(self, M):
-        self.M = M
-        self.shape = M.shape
-        self.products = 0
-
-    def __matmul__(self, x):
-        self.products += 1
-        return self.M @ x
+def _solver_blocks():
+    """Every block of two states or more in `dense` seed 7 chains 0-9, the
+    golden chains and 200 random models."""
+    for i in range(10):
+        yield chains.dense_chain(7, i).Q
+    rng = np.random.default_rng(41)
+    models = [model_of(name) for name in sorted(CHAINS)] + [random_model(rng) for _ in range(200)]
+    for m in models:
+        yield from (B for B in condense(m).diag_blocks if len(B) > 1)
 
 
-def test_power_iteration_takes_one_product_per_step():
-    M = np.array([[0.5, 0.3, 0.1], [0.2, 0.1, 0.3], [0.1, 0.2, 0.6]])
-    want = _power_iteration(M, tol=1e-13, max_iter=10**4)
-    # s: the fewest steps that converge; s - 1 steps raise
-    s = next(n for n in range(1, 10**4) if _converges(M, n))
-    assert s > 5
-    counted = _CountingMatrix(M)
-    lam, x = _power_iteration(counted, tol=1e-13, max_iter=s)
-    assert counted.products == s + 1
-    assert lam == want[0] and np.array_equal(x, want[1])
-    counted = _CountingMatrix(M)
+def test_perron_data_residuals_within_tolerance():
+    checked = 0
+    for B in _solver_blocks():
+        rho, v, u = spectral.perron_data(B)
+        tol = 1e-13 * max(rho, 1.0)
+        assert np.max(np.abs(B @ v - rho * v)) <= tol
+        un = u / u.sum()
+        assert np.max(np.abs(un @ B - rho * un)) <= tol
+        checked += 1
+    assert checked > 100
+
+
+def test_perron_data_takes_at_most_ten_solves(monkeypatch):
+    calls = count_calls(monkeypatch, spectral._shifted_solve)
+    counts = []
+    for B in _solver_blocks():
+        calls.clear()
+        spectral.perron_data(B)
+        counts.append(len(calls))
+    assert max(counts) <= 10 and min(counts) >= 0 and sum(counts) > 3 * len(counts)
+
+
+def test_perron_vectors_positive_certify_the_root():
+    # a positive eigenvector of an irreducible nonnegative matrix belongs to
+    # its Perron root, and the Collatz-Wielandt ratios of v bracket it
+    for B in _solver_blocks():
+        rho, v, u = spectral.perron_data(B)
+        assert np.all(v > 0) and np.all(u > 0)
+        ratios = (B @ v) / v
+        assert ratios.min() - 1e-12 <= rho <= ratios.max() + 1e-12
+
+
+def test_perron_data_stops_at_the_solve_cap(monkeypatch):
+    B = chains.dense_chain(7, 4).Q
+    monkeypatch.setattr(spectral, "MAX_SOLVES", 2)
     with pytest.raises(NoConvergence):
-        _power_iteration(counted, tol=1e-13, max_iter=s - 1)
-    assert counted.products == s
+        spectral.perron_data(B)
 
 
-def _converges(M, max_iter):
-    try:
-        _power_iteration(M, tol=1e-13, max_iter=max_iter)
-    except NoConvergence:
-        return False
-    return True
+R = (0.375 + math.sqrt(0.203125)) / 2  # the Perron root of [[1/4, 3/8], [1/8, 1/8]]
 
 
-def test_power_iteration_returns_previous_iterate_at_zero_sum():
-    # step 1 maps the uniform start to (0, 1); step 2 maps that to 0
-    counted = _CountingMatrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    lam, x = _power_iteration(counted, tol=1e-13, max_iter=10)
-    assert lam == 0.0 and np.array_equal(x, [0.0, 1.0])
-    assert counted.products == 2
+@pytest.mark.parametrize(
+    "B,rho,v,u",
+    [
+        ([[0.375, 0.125], [0.25, 0.5]], 0.625, [1 / 3, 2 / 3], [1.0, 1.0]),
+        ([[0.25, 0.375], [0.125, 0.125]], R, [0.375, R - 0.25], [0.125, R - 0.25]),
+    ],
+)
+def test_singular_shift_raises_no_linalg_error(B, rho, v, u, monkeypatch):
+    # on these dyadic blocks the Collatz-Wielandt bound of a converged
+    # iterate makes sigma I - B exactly singular in floating point
+    v = np.array(v) / sum(v)
+    u = np.array(u) / (np.array(u) @ v)
+    singular = []
+    solve = np.linalg.solve
+
+    def recording_solve(M, b):
+        try:
+            return solve(M, b)
+        except np.linalg.LinAlgError:
+            singular.append(M)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    B = np.array(B)
+    s = perron_block(B)
+    qsd = qg.quasi_stationary_distribution(B)
+    measure = qg.irreducible_qed(B)
+    assert singular
+    assert abs(s.rho - rho) <= 1e-15
+    assert np.max(np.abs(s.v - v)) <= 1e-15 and np.max(np.abs(s.u - u)) <= 1e-15
+    assert np.max(np.abs(qsd - u / u.sum())) <= 1e-15
+    assert np.max(np.abs(measure - u * v)) <= 1e-15
+
+
+def _two_clusters(rng, a, b, c, rho=0.25):
+    """Two clusters of a and b states that send a share c and c a / b of
+    each row across, with |lambda_2| / rho = 1 - c (a + b) / b.  Every entry
+    is dyadic, so the stored matrix is exact: P is doubly stochastic and
+    Q = rho D^-1 P D with D = diag(2^e), so rho is exact, v ~ 2^-e and
+    u ~ 2^e."""
+    d = a + b
+    P = np.zeros((d, d))
+    for r, n, leak in ((slice(0, a), a, c), (slice(a, d), b, c * a / b)):
+        cluster = (2 * np.eye(n) + np.roll(np.eye(n), 1, axis=1) + np.eye(n)[rng.permutation(n)]) / 4
+        P[r, r] = (1 - leak) * cluster
+    P[:a, a:] = c / b
+    P[a:, :a] = c / b
+    e = rng.integers(0, 2, d)
+    Q = rho * P * 2.0 ** (e[None, :] - e[:, None])
+    return Q, 2.0**-e / np.sum(2.0**-e), 2.0**e / np.sum(2.0**e)
+
+
+# power iteration raised NoConvergence on chains like these: |lambda_2| /
+# rho = 0.99993 at d = 7, and two clusters of 20 states (0.99994)
+@pytest.mark.parametrize("a,b,c", [(3, 4, 2**-15 + 2**-17), (20, 20, 2**-15)])
+def test_small_gap_chains_solved_exactly(a, b, c):
+    Q, v, u = _two_clusters(np.random.default_rng(0), a, b, c)
+    moduli = np.sort(np.abs(np.linalg.eigvals(Q)))
+    assert 0.99993 <= moduli[-2] / moduli[-1] < 0.99995
+    cpu = time.process_time()
+    s = perron_block(Q)
+    qsd = qg.quasi_stationary_distribution(Q)
+    cpu = time.process_time() - cpu
+    # np.linalg.eig's vectors are themselves off by up to ~3e-12 at this
+    # gap; its root is not
+    assert abs(s.rho - 0.25) <= 1e-15 and abs(s.rho - max(np.linalg.eigvals(Q).real)) <= 1e-12
+    assert np.max(np.abs(s.v - v)) <= 1e-12
+    assert np.max(np.abs(s.u / s.u.sum() - u)) <= 1e-12
+    assert np.max(np.abs(qsd - u)) <= 1e-12
+    assert cpu < 0.1
 
 
 def test_full_matrix_rho_equals_block_max():
@@ -196,8 +276,7 @@ def test_full_matrix_rho_equals_block_max():
         m = random_model(rng)
         form = condense(m)
         spectra = spectrum_set(form)
-        lam, _ = _power_iteration(m.Q + np.eye(m.d), tol=1e-13, max_iter=10**6)
-        assert abs((lam - 1.0) - spectra.rho_max) <= 1e-8
+        assert abs(max(np.linalg.eigvals(m.Q).real) - spectra.rho_max) <= 1e-12
 
 
 def test_rho_equality_policy():
