@@ -398,7 +398,7 @@ def cmd_verify(doc: ChainDocument, args) -> int:
         name, ok = "limit_vs_extrapolated_profile", dev <= _JUDGE_ATOL + _JUDGE_ERR_FACTOR * err
         detail = f"deviation {dev:.3g}, extrapolation error {err:.3g}"
     else:  # the extrapolation holds d^3 floats
-        grid = [n for n in (args.n_max // 4, args.n_max // 2, args.n_max) if n > 0]
+        grid = [args.n_max // 4, args.n_max // 2, args.n_max]
         errors = [float(np.max(np.abs(core.occupation_profile(model, n) - limit))) for n in grid]
         name, ok = "finite_horizon_trend", all(b <= a * 1.05 + 1e-12 for a, b in zip(errors, errors[1:]))
         detail = "errors " + ", ".join(f"n={n}: {e:.3g}" for n, e in zip(grid, errors))
@@ -410,18 +410,27 @@ def cmd_verify(doc: ChainDocument, args) -> int:
 # --- dispatch ------------------------------------------------------------
 
 
-def _default_seed() -> int:
-    env = os.environ.get("QERGODIC_SEED")
-    return int(env) if env else 0
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # named in argparse's "invalid integer value"
+    return parse
 
 
 def _horizon_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=1000, help="horizon for finite-n and fallback estimates")
+    p.add_argument("--n", type=_int_at_least(0), default=1000, help="horizon for finite-n and fallback estimates")
 
 
 def _sampling_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--trials", type=_int_at_least(1), default=10000)
+    # a string default goes through the type check too
+    p.add_argument("--seed", type=_int_at_least(0), default=os.environ.get("QERGODIC_SEED") or "0")
 
 
 def _analysis_flags(p: argparse.ArgumentParser) -> None:
@@ -430,7 +439,8 @@ def _analysis_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _trend_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-max", dest="n_max", type=int, default=2000)
+    # n-max/4, n-max/2 and n-max: three distinct positive horizons
+    p.add_argument("--n-max", dest="n_max", type=_int_at_least(4), default=2000)
 
 
 # each command with the flag groups its cmd_* reads

@@ -314,11 +314,82 @@ def extrapolated_occupation(model: SubstochasticModel, period: int):
 _MC_BATCH = 512
 _MC_BATCH_UNIFORMS = 1 << 21
 
+# numpy's SeedSequence (pool of 4 words) and the seed step of its PCG64
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-def _trajectory_rng(seed: int, index: int = 0) -> np.random.Generator:
-    # per-trajectory stream keyed on (seed, index): identical results
-    # regardless of how trajectories are batched
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=(int(seed), int(index)))))
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's running hash of uint32 arrays: x -> (x ^ h) * h',
+    then x ^ (x >> 16), where h' = h * mult is the next call's h."""
+
+    def step(x):
+        nonlocal h
+        x = x ^ h
+        h = h * mult & _MASK32
+        x = x * h
+        return x ^ (x >> 16)
+
+    return step
+
+
+def _mix(x, y):
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+def _stream_uniforms(seed: int, first: int, size: int, k: int) -> np.ndarray:
+    """The first k uniforms of trajectories first, ..., first + size - 1.
+
+    Row r is Generator(PCG64(SeedSequence((seed, first + r)))).random(k)
+    bit for bit.  The SeedSequence hash runs once, in uint32 array
+    arithmetic, over the entropy words of every row: the seed's
+    little-endian 32-bit words and then the index, one word.  Its
+    generate_state(4, uint64) gives (s0, s1, s2, s3), and PCG64 starts
+    from inc = (s2 s3) << 1 | 1 and state = (inc + (s0 s1)) M + inc mod
+    2^128 (pcg_setseq_128_srandom_r).  One PCG64 is set to each row's
+    state in turn.
+    """
+    seed = int(seed)
+    if seed < 0 or not 0 <= first <= first + size <= 1 << 32:
+        raise ValueError("the seed must be >= 0 and trajectory indices in [0, 2**32)")
+    words = []
+    while True:  # a non-negative seed ends at 0, and 0 is one word
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    entropy = np.empty((len(words) + 1, size), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(first, first + size)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(size, dtype=np.uint32)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    out = _hasher(_INIT_B, _MULT_B)
+    generated = [out(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    s0, s1, s2, s3 = ((generated[2 * i] | generated[2 * i + 1] << 32).tolist() for i in range(4))
+
+    U = np.empty((size, k))
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for r in range(size):
+        inc = ((s2[r] << 64 | s3[r]) << 1 | 1) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": ((inc + (s0[r] << 64 | s1[r])) * _PCG_MULT + inc) & _MASK128, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        generator.random(out=U[r])
+    return U
 
 
 def _transition_tables(model: SubstochasticModel):
@@ -339,35 +410,41 @@ def simulate_trajectory(model: SubstochasticModel, seed: int, _index: int = 0):
     absorption step.  Deterministic given (seed, _index): the uniforms are
     drawn in order from PCG64(SeedSequence((seed, _index))), one for X_0 and
     one per step, the stream monte_carlo_occupation uses for trajectory
-    _index.
+    _index.  The stream is read through _stream_uniforms as a batch of one.
     """
     cum, pi_cum = _transition_tables(model)
     cum, pi_cum = cum.tolist(), pi_cum.tolist()
-    rng = _trajectory_rng(seed, _index)
-    state = min(bisect_right(pi_cum, rng.random()), model.d - 1)
+    u = _stream_uniforms(seed, _index, 1, 256)[0].tolist()
+    state = min(bisect_right(pi_cum, u[0]), model.d - 1)
     path = [state + 1]
     while True:
-        # chunked draws consume the stream exactly as scalar draws would
-        for u in rng.random(256).tolist():
-            nxt = bisect_right(cum[state], u)
-            if nxt == 0:
-                return path, len(path)
-            state = min(nxt - 1, model.d - 1)
-            path.append(state + 1)
+        if len(path) == len(u):
+            # a longer draw of the stream starts with the same uniforms
+            u = _stream_uniforms(seed, _index, 1, 2 * len(u))[0].tolist()
+        nxt = bisect_right(cum[state], u[len(path)])
+        if nxt == 0:
+            return path, len(path)
+        state = min(nxt - 1, model.d - 1)
+        path.append(state + 1)
 
 
 def monte_carlo_occupation(model: SubstochasticModel, n: int, trials: int, seed: int):
     """Monte Carlo estimate of the per-state conditioned occupation at horizon n.
 
     Only trajectories with T > n contribute.  Returns a list of d
-    OccupationEstimate values with standard errors and the surviving count.
+    OccupationEstimate values with standard errors and the surviving count;
+    the standard error is None when fewer than two trajectories survive.
     Raises NoSurvivors when no trajectory survives.
 
     Trajectory i is the first n + 1 states of simulate_trajectory(model,
     seed, i), so the result depends only on (Q, pi, n, trials, seed).
-    Trajectories are stepped together in batches, and survivors are added
-    up in trajectory order, so the batch size does not change a bit.
+    Trajectories are stepped together in batches, each batch's streams
+    seeded at once by _stream_uniforms, and survivors are added up in
+    trajectory order, so the batch size does not change a bit.  Raises
+    ValueError at once for n < 0, trials < 1 or a negative seed.
     """
+    if n < 0:
+        raise ValueError("horizon n must be >= 0")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     d = model.d
@@ -378,9 +455,7 @@ def monte_carlo_occupation(model: SubstochasticModel, n: int, trials: int, seed:
     surviving = 0
     for first in range(0, trials, batch):
         size = min(batch, trials - first)
-        U = np.empty((size, n + 1))
-        for k in range(size):
-            _trajectory_rng(seed, first + k).random(out=U[k])
+        U = _stream_uniforms(seed, first, size, n + 1)
         visits = np.zeros((size, d), dtype=np.int64)
         live = np.arange(size)  # batch rows not yet absorbed
         state = np.minimum(np.searchsorted(pi_cum, U[:, 0], side="right"), d - 1)
@@ -405,10 +480,10 @@ def monte_carlo_occupation(model: SubstochasticModel, n: int, trials: int, seed:
     means = sums / surviving
     if surviving > 1:
         var = (sq_sums - surviving * means**2) / (surviving - 1)
-        stderr = np.sqrt(np.clip(var, 0.0, None) / surviving)
-    else:
-        stderr = np.full(d, np.inf)
+        stderr = np.sqrt(np.clip(var, 0.0, None) / surviving).tolist()
+    else:  # one survivor shows no spread
+        stderr = [None] * d
     return [
-        OccupationEstimate(value=float(means[j]), n=n, stderr=float(stderr[j]), trials_surviving=surviving)
+        OccupationEstimate(value=float(means[j]), n=n, stderr=stderr[j], trials_surviving=surviving)
         for j in range(d)
     ]

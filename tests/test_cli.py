@@ -4,6 +4,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -320,6 +323,77 @@ def test_seed_env_default(doc_file, capsys, monkeypatch):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["seed"] == 11
+
+
+# leaks 0.3 a step from either state: one of 10 trajectories survives 5 steps at seed 3
+ONE_SURVIVOR = {"Q": [[0.5, 0.2], [0.1, 0.6]], "pi": [1, 0]}
+
+
+def test_simulate_one_survivor_prints_null_stderr(doc_file, capsys):
+    argv = ["simulate", doc_file(ONE_SURVIVOR), "--n", "5", "--trials", "10", "--seed", "3", "--format", "json"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["trials_surviving"] == 1
+    assert data["stderr"] == [None, None]
+
+
+def test_analyze_fallback_one_survivor_prints_null_stderr(doc_file, capsys):
+    argv = ["analyze", doc_file(UNCERTIFIED), "--n", "5", "--trials", "10", "--seed", "0", "--format", "json"]
+    assert main(argv) == 2
+    mc = json.loads(capsys.readouterr().out)["result"]["monte_carlo"]
+    assert mc["trials_surviving"] == 1
+    assert mc["stderr"] == [None, None, None]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("simulate", "--seed", "-1"),
+        ("simulate", "--trials", "0"),
+        ("finite-n", "--n", "-1"),
+        ("simulate", "--n", "-3"),
+        ("analyze", "--seed", "-1"),
+        ("verify", "--n-max", "3"),
+    ],
+)
+def test_out_of_range_flags_are_usage_errors(command, flag, value, doc_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, doc_file(UNCERTIFIED), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be an integer >=" in capsys.readouterr().err
+
+
+def test_negative_seed_from_the_environment_is_a_usage_error(doc_file, capsys, monkeypatch):
+    monkeypatch.setenv("QERGODIC_SEED", "-1")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", doc_file(TWO_STATE), "--n", "2", "--trials", "5"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be an integer >= 0" in capsys.readouterr().err
+
+
+def test_verify_trend_checks_three_horizons_above_the_state_cap(doc_file, capsys):
+    c = chains.dense_chain(7, 0)
+    path = doc_file({"Q": c.Q.tolist(), "pi": c.pi.tolist()})
+    assert c.Q.shape[0] > core.EXTRAPOLATION_MAX_STATES
+    for n_max in ("-5", "1", "3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", path, "--n-max", n_max, "--format", "json"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    main(["verify", path, "--n-max", "4", "--format", "json"])
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["check"] == "finite_horizon_trend"
+    assert re.findall(r"n=(\d+):", check["detail"]) == ["1", "2", "4"]
+
+
+def test_python_dash_m_runs_the_cli(doc_file, capsys):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = ["qsd", doc_file(TWO_STATE), "--format", "json"]
+    done = subprocess.run([sys.executable, "-m", "qergodic", *argv], capture_output=True, text=True, env=env, cwd=root, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
 
 
 def test_verify_command(doc_file, capsys):

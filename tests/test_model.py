@@ -317,6 +317,61 @@ def test_monte_carlo_is_the_simulated_trajectories(batch, monkeypatch):
     assert {e.trials_surviving for e in estimates} == {surviving}
 
 
+def numpy_stream(seed, index, k):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index)))).random(k)
+
+
+# 2**100 + 3 has more entropy words (with the index, five) than the pool's four
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 1, 2**100 + 3])
+def test_stream_uniforms_are_numpys_per_trajectory_streams(seed):
+    for index in (0, 1, 511, 512, 1999, 2**20, 2**32 - 1):
+        for k in (1, 201, 300):
+            got = qg.model._stream_uniforms(seed, index, 1, k)
+            assert got.shape == (1, k)
+            assert got[0].tobytes() == numpy_stream(seed, index, k).tobytes()
+
+
+def test_stream_uniforms_seed_a_batch_row_by_row():
+    got = qg.model._stream_uniforms(2**64 + 1, 509, 6, 40)
+    assert got.tobytes() == np.array([numpy_stream(2**64 + 1, i, 40) for i in range(509, 515)]).tobytes()
+
+
+def test_stream_indices_are_one_entropy_word():
+    # index 2**32 would be two words: refused, not wrapped to index 0
+    m = model_of("two_state")
+    for seed, index in ((-1, 0), (0, -1), (0, 2**32)):
+        with pytest.raises(ValueError):
+            qg.simulate_trajectory(m, seed, index)
+
+
+def test_simulate_trajectory_reads_its_stream_past_each_longer_draw():
+    # absorbed when a uniform after the first falls below 0.001: T is about
+    # 1000, past the first draws of 256 and 512 uniforms
+    m = qg.validate([[0.999]], [1.0])
+    times = []
+    for i in range(5):
+        path, T = qg.simulate_trajectory(m, 3, i)
+        u = numpy_stream(3, i, T + 1)
+        assert T == 1 + int(np.argmax(u[1:] < 0.001))
+        assert path == [1] * T
+        times.append(T)
+    assert max(times) > 512
+
+
+@pytest.mark.parametrize("n, trials, seed", [(-1, 10, 0), (-3, 10, 0), (5, 0, 0), (5, 10, -1)])
+def test_monte_carlo_rejects_bad_arguments(n, trials, seed):
+    m = model_of("two_state")
+    with pytest.raises(ValueError):
+        qg.monte_carlo_occupation(m, n, trials, seed)
+
+
+def test_monte_carlo_one_survivor_has_no_stderr():
+    m = qg.validate([[0.5, 0.2], [0.1, 0.6]], [1.0, 0.0])
+    estimates = qg.monte_carlo_occupation(m, 5, 10, seed=3)
+    assert [e.trials_surviving for e in estimates] == [1, 1]
+    assert [e.stderr for e in estimates] == [None, None]
+
+
 def test_monte_carlo_no_survivors():
     m = qg.validate([[0.01]], [1.0])
     with pytest.raises(NoSurvivors):
