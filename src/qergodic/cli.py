@@ -10,11 +10,12 @@ is a fixed point.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -429,8 +430,9 @@ def _horizon_flags(p: argparse.ArgumentParser) -> None:
 
 def _sampling_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=_int_at_least(1), default=10000)
-    # a string default goes through the type check too
-    p.add_argument("--seed", type=_int_at_least(0), default=os.environ.get("QERGODIC_SEED") or "0")
+    # main sets the default from QERGODIC_SEED at every call; a string
+    # default goes through the type check too
+    p.add_argument("--seed", type=_int_at_least(0))
 
 
 def _analysis_flags(p: argparse.ArgumentParser) -> None:
@@ -455,9 +457,13 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _parser() -> Tuple[argparse.ArgumentParser, Tuple[argparse.ArgumentParser, ...]]:
+    """The parser, built once per process, and the subparsers that take
+    --seed."""
     parser = argparse.ArgumentParser(prog="qergodic", description="Conditioned limits of absorbing Markov chains")
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = []
     for name, (fn, flag_groups) in COMMANDS.items():
         # no prefix matching: `paths --n` must not pass for --no-pi-restriction
         p = sub.add_parser(name, allow_abbrev=False)
@@ -466,11 +472,16 @@ def build_parser() -> argparse.ArgumentParser:
         for add_flags in flag_groups:
             add_flags(p)
         p.set_defaults(fn=fn)
-    return parser
+        if _sampling_flags in flag_groups:
+            seeded.append(p)
+    return parser, tuple(seeded)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, seeded = _parser()
+    for p in seeded:
+        p.set_defaults(seed=os.environ.get("QERGODIC_SEED") or "0")
+    args = parser.parse_args(argv)
     try:
         return args.fn(parse_document(args.file), args)
     except (ParseError, ValidationError) as exc:

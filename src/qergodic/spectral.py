@@ -20,7 +20,8 @@ coefficient of v in any vector x is just u . x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -37,10 +38,16 @@ class BlockSpectrum:
     rho: float
     v: np.ndarray
     u: np.ndarray
-    sub_modulus: float
     period: int
     primitive: bool
     scalar: bool
+    block: np.ndarray = field(repr=False)  # the block itself, read only by sub_modulus
+
+    @cached_property
+    def sub_modulus(self) -> float:
+        """Largest modulus among the non-Perron eigenvalues, 0 for a scalar
+        block.  A diagnostic that no limit reads: computed on first read."""
+        return 0.0 if self.scalar else _sub_modulus(self.block, self.rho, self.v, self.u)
 
 
 @dataclass(frozen=True)
@@ -158,23 +165,16 @@ def perron_data(block: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
 
 def perron_block(block: np.ndarray) -> BlockSpectrum:
     """Perron data of an irreducible diagonal block (see `perron_data`),
-    with its period and the diagnostic `sub_modulus`.  Irreducibility is the
-    caller's to guarantee; `condense` yields only irreducible blocks.
-    Cyclic blocks take the same solve as primitive ones."""
+    with its period.  The block is kept, not copied, for the diagnostic
+    `sub_modulus`.  Irreducibility is the caller's to guarantee; `condense`
+    yields only irreducible blocks.  Cyclic blocks take the same solve as
+    primitive ones."""
     block = np.asarray(block, dtype=float)
     rho, v, u = perron_data(block)
     if block.shape[0] == 1:
-        return BlockSpectrum(rho=rho, v=v, u=u, sub_modulus=0.0, period=1, primitive=True, scalar=True)
+        return BlockSpectrum(rho=rho, v=v, u=u, period=1, primitive=True, scalar=True, block=block)
     h = block_period(block)
-    return BlockSpectrum(
-        rho=rho,
-        v=v,
-        u=u,
-        sub_modulus=_sub_modulus(block, rho, v, u),
-        period=h,
-        primitive=h == 1,
-        scalar=False,
-    )
+    return BlockSpectrum(rho=rho, v=v, u=u, period=h, primitive=h == 1, scalar=False, block=block)
 
 
 def _sub_modulus(block: np.ndarray, rho: float, v: np.ndarray, u: np.ndarray, steps: int = 200) -> float:

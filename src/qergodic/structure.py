@@ -60,22 +60,30 @@ def _strongly_connected_components(adj: List[List[int]]) -> List[List[int]]:
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
+            # the edge loop keeps low[v] in a local and compares with `<`:
+            # a call to min() per edge visit was most of its time
+            low_v = low[v]
+            succ = adj[v]
             advanced = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
+            for i in range(pi, len(succ)):
+                w = succ[i]
+                index_w = index[w]
+                if index_w == -1:
                     work[-1] = (v, i + 1)
                     work.append((w, 0))
                     advanced = True
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
+                if index_w < low_v and on_stack[w]:
+                    low_v = index_w
+            low[v] = low_v
             if advanced:
                 continue
             work.pop()
             if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
+                parent = work[-1][0]
+                if low_v < low[parent]:
+                    low[parent] = low_v
+            if low_v == index[v]:
                 comp = []
                 while True:
                     w = stack.pop()

@@ -3,7 +3,9 @@ the block powers of Q and the dwell-time sums over admissible paths, the
 growth-rate diagnostics that compare those sums against their closed-form
 equivalents, and two independent evaluations of the limit (scalar chains,
 single dominant paths).  They re-prove the identities of the asymptotic
-analysis; none of them is on the path that computes a limit.
+analysis; none of them is on the path that computes a limit.  One more
+checks the graph layer: strongly connected components read off the
+reachability closure.
 
 Scaled scalars: several sequences decay like rho^n and underflow long before
 the horizons of interest, so they are passed around as (mantissa, log_scale)
@@ -525,3 +527,31 @@ def single_path_qed(family: PathFamily, spectra: SpectrumSet) -> np.ndarray:
         if pos not in p.H_minus:
             out[t - 1] = 1.0 / family.h_max
     return out
+
+
+# --- strongly connected components --------------------------------------
+
+
+def components_by_closure(adj: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Strongly connected components of a digraph given by successor lists,
+    as sorted vertex lists in increasing order of their smallest vertex.
+
+    i and j share a component iff each reaches the other in the reflexive
+    transitive closure, which is squared (float32 products, exact for
+    0/1 counts up to 2^24) until it stops growing."""
+    n = len(adj)
+    closure = np.eye(n, dtype=np.float32)
+    for i, succ in enumerate(adj):
+        closure[i, list(succ)] = 1.0
+    while True:
+        grown = (closure @ closure > 0).astype(np.float32)
+        if np.array_equal(grown, closure):
+            break
+        closure = grown
+    mutual = (closure > 0) & (closure.T > 0)
+    comps, placed = [], np.zeros(n, dtype=bool)
+    for i in range(n):
+        if not placed[i]:
+            placed |= mutual[i]
+            comps.append(np.flatnonzero(mutual[i]).tolist())
+    return comps

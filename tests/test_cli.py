@@ -325,6 +325,31 @@ def test_seed_env_default(doc_file, capsys, monkeypatch):
     assert data["seed"] == 11
 
 
+def test_seed_env_is_read_at_every_call(doc_file, capsys, monkeypatch):
+    from qergodic import cli
+
+    argv = ["simulate", doc_file(TWO_STATE), "--n", "2", "--trials", "500", "--format", "json"]
+    seeds = []
+    for value in ("11", "12", None):
+        if value is None:
+            monkeypatch.delenv("QERGODIC_SEED")
+        else:
+            monkeypatch.setenv("QERGODIC_SEED", value)
+        assert cli.main(argv) == 0
+        seeds.append(json.loads(capsys.readouterr().out)["seed"])
+    assert seeds == [11, 12, 0]
+
+
+def test_main_builds_its_parser_once(doc_file):
+    from qergodic import cli
+
+    cli._parser.cache_clear()
+    path = doc_file(TWO_STATE)
+    for argv in (["qsd", path], ["simulate", path, "--n", "2", "--trials", "500"], ["paths", path]):
+        assert cli.main(argv) == 0
+    assert cli._parser.cache_info().misses == 1
+
+
 # leaks 0.3 a step from either state: one of 10 trajectories survives 5 steps at seed 3
 ONE_SURVIVOR = {"Q": [[0.5, 0.2], [0.1, 0.6]], "pi": [1, 0]}
 
@@ -404,7 +429,7 @@ def test_verify_command(doc_file, capsys):
     assert all(c["pass"] for c in data["checks"])
 
 
-@pytest.mark.parametrize("name", ["two_state", "matrix_block", "periodic"])
+@pytest.mark.parametrize("name", ["two_state", "matrix_block", "periodic", "dag/2"])
 def test_verify_fails_a_limit_moved_by_1e_6(name, doc_file, capsys, monkeypatch):
     true_limit = limits.limit_measure
 
@@ -415,7 +440,11 @@ def test_verify_fails_a_limit_moved_by_1e_6(name, doc_file, capsys, monkeypatch)
         return dataclasses.replace(result, state_measure_input=state)
 
     monkeypatch.setattr(limits, "limit_measure", moved)
-    Q, pi = CHAINS[name]
+    if name.startswith("dag/"):
+        c = chains.dag_chain(7, int(name[4:]))
+        Q, pi = c.Q.tolist(), c.pi.tolist()
+    else:
+        Q, pi = CHAINS[name]
     assert main(["verify", doc_file({"Q": Q, "pi": pi}), "--format", "json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["pass"] is False

@@ -86,6 +86,40 @@ def test_validate_rejects_closed_class_without_leak():
         qg.validate(Q, [1 / 3, 1 / 3, 1 / 3])
 
 
+def test_validate_names_the_states_that_cannot_reach_absorption():
+    # a path into the closed cycle {3, 4}; only state 5 leaks
+    Q = np.zeros((5, 5))
+    Q[0, 1] = Q[1, 2] = Q[2, 3] = Q[3, 2] = 1.0
+    Q[4, 0] = 0.5
+    with pytest.raises(NotTransient, match=r"^states \[1, 2, 3, 4\] cannot reach absorption$"):
+        qg.validate(Q, np.full(5, 0.2))
+
+
+class _ComparedEntries(np.ndarray):
+    """Q that counts the entries its `>` compares, over views of it too."""
+
+    count = 0
+
+    def __gt__(self, other):
+        _ComparedEntries.count += self.size
+        return np.asarray(self) > other
+
+
+@pytest.mark.parametrize("order", ["with_the_flow", "against_the_flow", "all_leak"])
+def test_transience_check_compares_each_entry_of_q_at_most_once(order):
+    # a path chain that leaks only at its last state
+    d = 300
+    Q = np.zeros((d, d))
+    Q[np.arange(d - 1), np.arange(1, d)] = 1.0
+    if order == "against_the_flow":
+        Q = Q[::-1, ::-1].copy()
+    if order == "all_leak":
+        Q *= 0.5
+    _ComparedEntries.count = 0
+    qg.model._check_transient(Q.view(_ComparedEntries), 1.0 - Q.sum(axis=1))
+    assert _ComparedEntries.count <= (0 if order == "all_leak" else d * d)
+
+
 # --- survival ------------------------------------------------------------
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import qergodic as qg
 from qergodic import limits, spectral
-from qergodic.errors import AmbiguousRhoClasses, NoConvergence
+from qergodic.errors import AmbiguousRhoClasses, AssumptionViolation, NoConvergence
 from qergodic.paths import enumerate_paths
 from qergodic.spectral import (
     SpectrumSet,
@@ -143,6 +143,39 @@ def test_each_coefficient_projected_once_per_chain(monkeypatch):
     calls = count_calls(monkeypatch, spectral.projection_coefficient)
     form = limits.analyze(m).form
     assert len(calls) == form.k + len(form.sub_blocks)
+
+
+def test_full_qed_and_qsd_never_compute_sub_modulus(monkeypatch):
+    calls = count_calls(monkeypatch, spectral._sub_modulus)
+    models = [qg.validate(c.Q, c.pi) for c in (chains.dense_chain(7, i) for i in range(3))]
+    models += [model_of(name) for name in ("matrix_block", "periodic", "two_state")]
+    for m in models:
+        qg.full_qed(m)
+        limits.quasi_stationary_distribution(m.Q)
+    analysis = limits.analyze(model_of("uncertified"))
+    with pytest.raises(AssumptionViolation):
+        limits.limit_measure(analysis)
+    assert calls == []
+    # the counter sees a read
+    assert analysis.spectra.blocks[-1].sub_modulus > 0.0 and len(calls) == 1
+
+
+def test_sub_modulus_is_computed_once_on_first_read(monkeypatch):
+    eager = spectral._sub_modulus
+    calls = count_calls(monkeypatch, spectral._sub_modulus)
+    rng = np.random.default_rng(18)
+    matrix_blocks = 0
+    for _ in range(60):
+        for B in condense(random_model(rng)).diag_blocks:
+            s = perron_block(B)
+            assert calls == []
+            expected = 0.0 if s.scalar else eager(B, *spectral.perron_data(B))
+            # read twice, computed once
+            assert s.sub_modulus == expected and s.sub_modulus == expected
+            assert len(calls) == (0 if s.scalar else 1)
+            calls.clear()
+            matrix_blocks += not s.scalar
+    assert matrix_blocks > 20
 
 
 def _solver_blocks():

@@ -10,6 +10,7 @@ import qergodic as qg
 from qergodic.structure import FrobeniusForm, _strongly_connected_components, block_period, condense
 
 from conftest import CHAINS, model_of, random_model
+from oracles import components_by_closure
 
 
 def test_condense_triangular_input_is_identity():
@@ -250,3 +251,65 @@ def test_block_period_equal_to_loop_oracle():
             assert type(h) is int and h == _block_period_oracle(B)
             periods.append(h)
     assert max(periods) > 1
+
+
+# --- strongly connected components against the reachability closure ----------
+
+
+def _check_components(adj, comps):
+    """Tarjan's components are the closure's, each sorted, listed sinks first."""
+    assert sorted(comps) == components_by_closure(adj)
+    position = {v: c for c, comp in enumerate(comps) for v in comp}
+    for i, succ in enumerate(adj):
+        for j in succ:
+            assert position[j] <= position[i], f"edge {i}->{j} points to a later component"
+
+
+def _random_digraph(rng, n, p):
+    """Successor lists of a random digraph, self-loops included; about a
+    tenth of the states are made isolated."""
+    A = rng.random((n, n)) < p
+    isolated = rng.random(n) < 0.1
+    A[isolated] = False
+    A[:, isolated] = False
+    return [np.flatnonzero(row).tolist() for row in A]
+
+
+def test_scc_matches_closure_on_random_digraphs():
+    rng = np.random.default_rng(181)
+    for p in (0.02, 0.06, 0.12, 0.3):
+        for _ in range(50):
+            adj = _random_digraph(rng, int(rng.integers(1, 40)), p)
+            _check_components(adj, _strongly_connected_components(adj))
+
+
+def test_scc_self_loops_and_isolated_states():
+    adj = [[0], [], [2, 3], [2], [4, 1], []]
+    comps = _strongly_connected_components(adj)
+    assert sorted(comps) == [[0], [1], [2, 3], [4], [5]]
+    _check_components(adj, comps)
+
+
+def test_scc_long_path_needs_no_recursion():
+    n = 2000
+    adj = [[i + 1] for i in range(n - 1)] + [[]]
+    comps = _strongly_connected_components(adj)
+    assert comps == [[i] for i in reversed(range(n))]
+    _check_components(adj, comps)
+
+
+def test_scc_matches_closure_on_dense_digraphs():
+    rng = np.random.default_rng(182)
+    n = 300
+    # one dense component beside isolated states, then three dense clusters
+    # with one-way links
+    adj = _random_digraph(rng, n, 0.5)
+    _check_components(adj, _strongly_connected_components(adj))
+    cluster = np.arange(n) // 100
+    A = (rng.random((n, n)) < 0.4) & (cluster[:, None] == cluster[None, :])
+    A |= (rng.random((n, n)) < 0.01) & (cluster[:, None] > cluster[None, :])
+    sigma = rng.permutation(n)
+    adj = [np.flatnonzero(row).tolist() for row in A[np.ix_(sigma, sigma)]]
+    comps = _strongly_connected_components(adj)
+    assert sorted(len(c) for c in comps) == [100, 100, 100]
+    _check_components(adj, comps)
